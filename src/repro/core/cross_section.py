@@ -15,12 +15,21 @@ Each rank owns private histograms; ``Reduce`` combines them on the
 root, which performs the guarded division.  Per-stage wall-clock is
 accumulated into a :class:`~repro.util.timers.StageTimings` using the
 paper's stage names (UpdateEvents / MDNorm / BinMD / Total).
+
+There is one loop.  Each run is computed into fresh scratch histograms
+and its delta is added to the rank's totals in ascending run order
+(:class:`RunFold`); resilience — retry, quarantine, checkpoint/resume,
+cancellation, crash takeover — is the failure policy around that loop
+(``recovery``), and ``recovery=None`` is its no-op policy.  The
+per-run pieces below (load, dispositions, fold, result assembly) are
+shared with the work-stealing executor (:mod:`repro.mpi.stealing`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import contextlib
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,19 +37,16 @@ from repro.core import geom_cache as _gc
 from repro.core.binmd import bin_events
 from repro.core.checkpoint import (
     CheckpointCorruptError,
+    CheckpointManager,
     RecoveryConfig,
+    RunDelta,
 )
 from repro.core.geom_cache import GeomCache
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.core.md_event_workspace import MDEventWorkspace
 from repro.core.mdnorm import mdnorm
-from repro.core.sharding import (
-    ShardConfig,
-    resolve_executor,
-    sharded_binmd,
-    sharded_mdnorm,
-)
+from repro.core.sharding import ShardConfig, sharded_binmd, sharded_mdnorm
 from repro.crystal.symmetry import PointGroup
 from repro.mpi import SUM, Comm, SequentialComm, balanced_rank_runs, rank_range
 from repro.nexus.corrections import FluxSpectrum
@@ -90,7 +96,21 @@ class CrossSectionResult:
         ))
 
 
-def _n_events(ws: MDEventWorkspace) -> int:
+#: campaign executors: the fixed rank-block plan of
+#: :func:`compute_cross_section`, or elastic work stealing
+#: (:mod:`repro.mpi.stealing`)
+EXECUTORS = ("static", "stealing")
+
+
+def check_executor(name: Optional[str]) -> None:
+    """Reject an executor name outside :data:`EXECUTORS` (None = static)."""
+    if name is not None and name not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {name!r}; available: {', '.join(EXECUTORS)}"
+        )
+
+
+def n_events(ws: MDEventWorkspace) -> int:
     """Raw event count of one run's workspace (monitor accounting).
 
     Prefers the ``n_events`` surface shared by :class:`EventTable` and
@@ -149,6 +169,247 @@ def _shard_beat(
     return beat
 
 
+# ---------------------------------------------------------------------------
+# per-run pieces (shared with the work-stealing executor)
+# ---------------------------------------------------------------------------
+
+def load_checked(
+    load_run: Callable[[int], MDEventWorkspace], i: int, timings: StageTimings
+) -> MDEventWorkspace:
+    """The timed ``UpdateEvents`` stage for run ``i``; the workspace must
+    carry the UB matrix Algorithm 1 transforms with."""
+    with timings.stage("UpdateEvents"):
+        ws = load_run(i)
+    if ws.ub_matrix is None:
+        raise ValidationError(
+            f"run index {i} carries no UB matrix; Algorithm 1 needs it"
+        )
+    return ws
+
+
+def call_run(
+    attempt: Callable[[int], Any],
+    *,
+    site: str,
+    recovery: Optional[RecoveryConfig],
+    on_retry: Callable[[BaseException, int], None],
+) -> Any:
+    """One per-run unit of work under the campaign's failure policy.
+
+    ``recovery=None`` is the no-op policy: ``attempt(1)`` is called
+    once, directly — outside :func:`repro.util.faults.retry_call`, so
+    ``in_recovery()`` stays false, recovery-scoped faults never fire and
+    the original exception propagates unchanged.  Otherwise transient
+    failures are retried with backoff (``on_retry`` runs before each
+    re-attempt), and :class:`~repro.util.faults.RetryExhaustedError`
+    reports a spent budget.
+    """
+    if recovery is None:
+        return attempt(1)
+    # deadline propagation: a campaign deadline caps every per-run
+    # retry backoff, so retries never sleep past the cancel token
+    retry_kwargs: Dict[str, Any] = {}
+    if recovery.cancel is not None and recovery.cancel.deadline is not None:
+        retry_kwargs["deadline"] = recovery.cancel.deadline
+        retry_kwargs["clock"] = recovery.cancel.clock
+    return _faults.retry_call(
+        attempt,
+        site=site,
+        policy=recovery.retry,
+        retryable=recovery.retryable,
+        on_retry=on_retry,
+        **retry_kwargs,
+    )
+
+
+def resume_disposition(
+    ckpt: CheckpointManager,
+    i: int,
+    grid: HKLGrid,
+    *,
+    rank: int,
+    cache: GeomCache,
+    monitor: Any,
+) -> Optional[Dict[str, Any]]:
+    """Run ``i``'s disposition when a resumed checkpoint already settles
+    it: durably quarantined, or completed with a digest-verified delta.
+    None means the run must be computed (not checkpointed, or its delta
+    is corrupt)."""
+    if ckpt.is_quarantined(i):
+        if monitor.enabled:
+            monitor.record_quarantine(rank, i)
+        return {"status": "quarantined", "rank": int(rank), "resumed": True}
+    if not ckpt.has_run(i):
+        return None
+    tracer = _trace.active_tracer()
+    try:
+        ckpt.load_run(i, grid)
+    except CheckpointCorruptError:
+        tracer.count("checkpoint.corrupt")
+        cache.invalidate(f"run:{i}")
+        return None
+    rec = ckpt.run_record(i) or {}
+    tracer.count("checkpoint.resumed")
+    if monitor.enabled:
+        monitor.record_resume(rank, i)
+    return {"status": "resumed", "rank": int(rank),
+            "attempts": int(rec.get("attempts", 1))}
+
+
+def quarantine_disposition(
+    ckpt: Optional[CheckpointManager],
+    i: int,
+    exc: _faults.RetryExhaustedError,
+    *,
+    rank: int,
+    monitor: Any,
+) -> Dict[str, Any]:
+    """Quarantine run ``i`` after ``exc`` spent its retry budget: the
+    disposition is recorded durably (with a checkpoint manager), and the
+    campaign completes *degraded* on the survivors."""
+    reason = repr(exc.last)
+    if ckpt is not None:
+        ckpt.quarantine_run(i, reason)
+    _trace.active_tracer().count("quarantine.runs")
+    if monitor.enabled:
+        monitor.record_quarantine(rank, i)
+    return {"status": "quarantined", "rank": int(rank),
+            "attempts": int(exc.attempts), "reason": reason}
+
+
+def done_disposition(
+    ckpt: Optional[CheckpointManager],
+    i: int,
+    binmd: Hist3,
+    mdnorm: Hist3,
+    *,
+    attempts: int,
+    rank: int,
+    monitor: Any,
+    events: int,
+) -> Dict[str, Any]:
+    """Run ``i`` computed: persist its delta (with a checkpoint manager)
+    and report it to the monitor."""
+    if ckpt is not None:
+        ckpt.save_run(i, binmd, mdnorm, attempts=attempts, rank=rank)
+    if monitor.enabled:
+        monitor.run_completed(rank, i, events=float(events))
+    return {"status": "done", "rank": int(rank), "attempts": int(attempts)}
+
+
+class RunFold:
+    """The campaign's one fold: per-run deltas summed in the order they
+    are added.  Callers add in ascending run order, so the float
+    association — and with it every bit of the result — is independent
+    of rank layout, steal schedule, crashes and resume points."""
+
+    def __init__(self, grid: HKLGrid) -> None:
+        self.binmd = Hist3(grid, track_errors=True)
+        self.mdnorm = Hist3(grid)
+
+    @classmethod
+    def of(cls, grid: HKLGrid, deltas: Iterable[RunDelta]) -> "RunFold":
+        fold = cls(grid)
+        for delta in deltas:
+            fold.add(delta)
+        return fold
+
+    def add(self, delta: RunDelta) -> None:
+        self.binmd.signal += delta.binmd_signal
+        if delta.binmd_error_sq is None:
+            # one run without errors leaves the total without them
+            self.binmd.error_sq = None
+        elif self.binmd.error_sq is not None:
+            self.binmd.error_sq += delta.binmd_error_sq
+        self.mdnorm.signal += delta.mdnorm_signal
+
+
+def fold_checkpoint(ckpt: CheckpointManager, grid: HKLGrid) -> RunFold:
+    """Rebuild the totals from every completed run's durable delta, then
+    mark the campaign complete."""
+    fold = RunFold.of(grid, (ckpt.load_run(i, grid)
+                             for i in ckpt.completed_runs()))
+    ckpt.mark_campaign_complete(
+        f"runs={len(ckpt.completed_runs())} "
+        f"quarantined={len(ckpt.quarantined_runs())}\n"
+    )
+    return fold
+
+
+def non_root_result(
+    timings: StageTimings, n_runs: int, backend: Optional[str]
+) -> CrossSectionResult:
+    """What every rank but the (effective) root returns."""
+    return CrossSectionResult(
+        cross_section=None, binmd=None, mdnorm=None,
+        timings=timings, n_runs=n_runs, backend=backend or "default",
+    )
+
+
+def root_result(
+    binmd: Hist3,
+    mdnorm: Hist3,
+    cross: Hist3,
+    *,
+    timings: StageTimings,
+    n_runs: int,
+    backend: Optional[str],
+    comm: Comm,
+    cache: GeomCache,
+    monitor: Any,
+    dispositions: Optional[Dict[int, Dict[str, Any]]],
+    extras: Optional[Dict[str, Any]] = None,
+) -> CrossSectionResult:
+    """The root rank's result.  ``dispositions`` (None under the no-op
+    failure policy) adds ``extras["recovery"]`` and marks a campaign
+    with quarantined runs as degraded."""
+    if monitor.enabled:
+        monitor.finish_campaign()
+    extras = dict(extras or {})
+    quarantined: list = []
+    if dispositions is not None:
+        quarantined = sorted(
+            i for i, d in dispositions.items() if d.get("status") == "quarantined"
+        )
+        extras["recovery"] = {
+            "quarantined": quarantined,
+            "failed_ranks": sorted(comm.failed_ranks()),
+            "resumed": sorted(
+                i for i, d in dispositions.items() if d.get("status") == "resumed"
+            ),
+        }
+    if cache.enabled:
+        extras["geom_cache"] = cache.stats.snapshot()
+    return CrossSectionResult(
+        cross_section=cross,
+        binmd=binmd,
+        mdnorm=mdnorm,
+        timings=timings,
+        n_runs=n_runs,
+        backend=backend or "default",
+        extras=extras or None,
+        degraded=bool(quarantined),
+        dispositions=dispositions,
+    )
+
+
+def _check_cancel(recovery: Optional[RecoveryConfig], where: str) -> None:
+    """Cooperative cancellation between durable units: every run
+    completed so far is already checkpointed, so stopping here leaves
+    the campaign resumable bit-identically."""
+    if recovery is None or recovery.cancel is None:
+        return
+    try:
+        recovery.cancel.check(where)
+    except CancelledError:
+        _trace.active_tracer().count("campaign.cancelled")
+        raise
+
+
+# ---------------------------------------------------------------------------
+# the campaign loop
+# ---------------------------------------------------------------------------
+
 def compute_cross_section(
     load_run: Callable[[int], MDEventWorkspace],
     n_runs: int,
@@ -202,42 +463,68 @@ def compute_cross_section(
         invalidation.  Cache statistics are reported in
         ``result.extras["geom_cache"]`` on the root rank.
     recovery:
-        When given, the loop runs under the fault-tolerant protocol
-        (see :func:`_compute_cross_section_recovering`): per-run
-        retry/backoff, quarantine of runs that exhaust their retry
-        budget, checkpoint/resume of per-run deltas, and redistribution
-        of a crashed rank's unfinished runs to the survivors.  ``None``
-        keeps the historical fail-fast loop byte-for-byte.
+        The failure policy around the loop.  When given:
+
+        * each run is wrapped in :func:`repro.util.faults.retry_call` —
+          transient failures (I/O, corrupt payloads, kernel errors) are
+          retried with backoff, and every retry invalidates the run's
+          geometry-cache entries first (a corrupt read may have
+          populated the cache from a corrupt source);
+        * a run that exhausts its retry budget is **quarantined** (when
+          ``recovery.quarantine``): its disposition is durably recorded
+          and the campaign completes *degraded* on the survivors;
+        * with a checkpoint manager, each completed run's delta is
+          persisted; with ``recovery.resume`` completed runs are
+          digest-verified on disk instead of recomputed, and the final
+          histograms are rebuilt by summing the per-run deltas in
+          ascending run order — independent of rank layout, crashes and
+          resume points, which is what makes kill-and-resume
+          bit-identical;
+        * an injected :class:`~repro.util.faults.RankCrashError` marks
+          the rank dead: its unfinished runs are published to the world
+          (``Comm.mark_failed``), the survivors' next barrier completes
+          with the remaining parties, and the dead rank's backlog is
+          redistributed round-robin over the alive ranks.  A second
+          crash during the takeover phase is *not* re-redistributed —
+          it fails loudly through the runner (double-fault policy);
+        * ``recovery.cancel`` is checked before every run.
+
+        ``None`` is the no-op policy of the same loop: each run is
+        attempted once, directly, and its exception propagates
+        unchanged; there is no quarantine, checkpoint or cancel scope.
+        Both fold the same per-run deltas in the same order, so they
+        are bit-identical on a fault-free campaign.
     shards:
         When given, each owned run's MDNorm fans out over detector
         shards and its BinMD over event shards on the node-local
         process pool (:func:`repro.core.sharding.sharded_mdnorm` /
         :func:`~repro.core.sharding.sharded_binmd`) — the second level
         of the hierarchical decomposition.  The result is bit-identical
-        to the unsharded serial loop for every shard/worker count;
-        ``None`` keeps the single-level loop byte-for-byte.  Ignored
-        for a stage whose ``*_impl`` override is set (the override owns
-        its own parallelism).
+        to the unsharded ``serial`` loop for every shard/worker count.
+        Ignored for a stage whose ``*_impl`` override is set (the
+        override owns its own parallelism).
     run_weights:
         Optional per-run event weights (from the run manifest).  When
         given, ranks take weight-balanced contiguous run blocks
         (:func:`repro.mpi.balanced_rank_runs`) instead of equal-count
         blocks — the outer level of the 2-D decomposition.
     executor:
-        Campaign execution strategy from the registry in
-        :mod:`repro.core.sharding`.  ``None``/``"static"`` is the fixed
+        One of :data:`EXECUTORS`.  ``None``/``"static"`` is the fixed
         rank-block plan below; ``"stealing"`` dispatches to the elastic
         work-stealing executor (:mod:`repro.mpi.stealing`), whose
-        result is bit-identical to the static recovering plan for every
-        steal schedule.
+        result is bit-identical to the static plan with a checkpoint
+        for every steal schedule.
     schedule:
         Stealing executor only: a
         :class:`repro.util.schedule.ScheduleController` driving steal
         and birth/leave/death decisions (None = seeded default).
     """
-    runner = resolve_executor(executor)
-    if runner is not None:
-        return runner(
+    check_executor(executor)
+    if executor == "stealing":
+        # imported here: the stealing executor imports this module
+        from repro.mpi.stealing import run_stealing_campaign
+
+        return run_stealing_campaign(
             load_run, n_runs, grid, point_group, flux,
             det_directions, solid_angles,
             comm=comm, backend=backend, sort_impl=sort_impl,
@@ -251,397 +538,126 @@ def compute_cross_section(
             "schedule is only meaningful with a dynamic executor "
             "(got executor=%r)" % (executor,)
         )
-    if recovery is not None:
-        return _compute_cross_section_recovering(
-            load_run, n_runs, grid, point_group, flux,
-            det_directions, solid_angles,
-            comm=comm, backend=backend, sort_impl=sort_impl,
-            scatter_impl=scatter_impl, timings=timings,
-            binmd_impl=binmd_impl, mdnorm_impl=mdnorm_impl,
-            cache=cache, recovery=recovery, shards=shards,
-            run_weights=run_weights,
-        )
     require(n_runs >= 1, "need at least one run")
     cache = _gc.resolve(cache)
     comm = comm or SequentialComm()
     timings = timings or StageTimings(label=f"cross-section[{backend or 'default'}]")
     tracer = _trace.active_tracer()
-
-    binmd_hist = Hist3(grid, track_errors=True)
-    mdnorm_hist = Hist3(grid)
-
-    start, end = _rank_block(n_runs, comm, run_weights)
     monitor = _monitor.active_monitor()
-    if monitor.enabled:
-        monitor.start_campaign(n_runs, comm.size)
-        monitor.assign_runs(comm.rank, end - start)
-    with tracer.span(
-        "cross_section",
-        kind="algorithm",
-        backend=backend or "default",
-        n_runs=int(n_runs),
-        mpi_rank=int(comm.rank),
-        mpi_size=int(comm.size),
-        **({"n_shards": int(shards.n_shards)} if shards is not None else {}),
-    ), timings.stage("Total"):
-        for i in range(start, end):
-            with tracer.span("run", kind="run", run=int(i)):
-                if monitor.enabled:
-                    monitor.heartbeat(
-                        comm.rank, site=f"run:{i}/UpdateEvents", run=i
-                    )
-                with timings.stage("UpdateEvents"):
-                    ws = load_run(i)
-                if ws.ub_matrix is None:
-                    raise ValidationError(
-                        f"run index {i} carries no UB matrix; Algorithm 1 needs it"
-                    )
-                event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
-                traj_transforms = grid.transforms_for(
-                    ws.ub_matrix, point_group, goniometer=ws.goniometer
-                )
-                if monitor.enabled:
-                    monitor.heartbeat(comm.rank, site=f"run:{i}/MDNorm")
-                with timings.stage("MDNorm"):
-                    if mdnorm_impl is not None:
-                        mdnorm_impl(
-                            mdnorm_hist,
-                            traj_transforms,
-                            det_directions,
-                            solid_angles,
-                            flux,
-                            ws.momentum_band,
-                            charge=ws.proton_charge,
-                        )
-                    elif shards is not None:
-                        sharded_mdnorm(
-                            mdnorm_hist,
-                            traj_transforms,
-                            det_directions,
-                            solid_angles,
-                            flux,
-                            ws.momentum_band,
-                            shards=shards,
-                            charge=ws.proton_charge,
-                            backend=backend,
-                            cache=cache,
-                            cache_tag=f"run:{i}",
-                            run=i,
-                            on_shard=_shard_beat(monitor, comm, i, "MDNorm"),
-                        )
-                    else:
-                        mdnorm(
-                            mdnorm_hist,
-                            traj_transforms,
-                            det_directions,
-                            solid_angles,
-                            flux,
-                            ws.momentum_band,
-                            charge=ws.proton_charge,
-                            backend=backend,
-                            sort_impl=sort_impl,
-                            scatter_impl=scatter_impl,
-                            cache=cache,
-                            cache_tag=f"run:{i}",
-                        )
-                if monitor.enabled:
-                    monitor.heartbeat(comm.rank, site=f"run:{i}/BinMD")
-                with timings.stage("BinMD"):
-                    if binmd_impl is not None:
-                        binmd_impl(binmd_hist, ws.events, event_transforms)
-                    elif shards is not None or _is_lazy(ws.events):
-                        sharded_binmd(
-                            binmd_hist,
-                            ws.events,
-                            event_transforms,
-                            shards=shards if shards is not None else _OOC_FALLBACK,
-                            run=i,
-                            on_shard=_shard_beat(monitor, comm, i, "BinMD"),
-                        )
-                    else:
-                        bin_events(
-                            binmd_hist,
-                            ws.events,
-                            event_transforms,
-                            backend=backend,
-                            scatter_impl=scatter_impl,
-                            cache=cache,
-                            cache_tag=f"run:{i}",
-                        )
-                if monitor.enabled:
-                    monitor.run_completed(
-                        comm.rank, i, events=float(_n_events(ws))
-                    )
+    ckpt = recovery.checkpoint if recovery is not None else None
 
-        # MPI_Reduce of both histograms onto the root
-        with tracer.span("mpi_reduce", kind="mpi",
-                         mpi_rank=int(comm.rank), mpi_size=int(comm.size)):
-            binmd_total = np.empty_like(binmd_hist.signal) if comm.rank == 0 else None
-            mdnorm_total = np.empty_like(mdnorm_hist.signal) if comm.rank == 0 else None
-            comm.Reduce(binmd_hist.signal, binmd_total, op=SUM, root=0)
-            comm.Reduce(mdnorm_hist.signal, mdnorm_total, op=SUM, root=0)
-
-        if comm.rank != 0:
-            return CrossSectionResult(
-                cross_section=None,
-                binmd=None,
-                mdnorm=None,
-                timings=timings,
-                n_runs=n_runs,
-                backend=backend or "default",
-            )
-
-        binmd_out = Hist3(grid, signal=binmd_total)
-        mdnorm_out = Hist3(grid, signal=mdnorm_total)
-        cross = binmd_out.divide(mdnorm_out)
-    if monitor.enabled:
-        monitor.finish_campaign()
-    extras = {"geom_cache": cache.stats.snapshot()} if cache.enabled else None
-    return CrossSectionResult(
-        cross_section=cross,
-        binmd=binmd_out,
-        mdnorm=mdnorm_out,
-        timings=timings,
-        n_runs=n_runs,
-        backend=backend or "default",
-        extras=extras,
-    )
-
-
-# ---------------------------------------------------------------------------
-# the fault-tolerant loop (PR 3)
-# ---------------------------------------------------------------------------
-
-def _compute_cross_section_recovering(
-    load_run: Callable[[int], MDEventWorkspace],
-    n_runs: int,
-    grid: HKLGrid,
-    point_group: PointGroup,
-    flux: FluxSpectrum,
-    det_directions: np.ndarray,
-    solid_angles: np.ndarray,
-    *,
-    comm: Optional[Comm],
-    backend: Optional[str],
-    sort_impl: str,
-    scatter_impl: str,
-    timings: Optional[StageTimings],
-    binmd_impl: Optional[Callable],
-    mdnorm_impl: Optional[Callable],
-    cache: Optional[GeomCache],
-    recovery: RecoveryConfig,
-    shards: Optional[ShardConfig] = None,
-    run_weights: Optional[Sequence[float]] = None,
-) -> CrossSectionResult:
-    """Algorithm 1 under the failure model.
-
-    Differences from the fail-fast loop:
-
-    * each run's contribution is computed into **fresh scratch
-      histograms** and only added to the rank's running totals on
-      success, so a failed attempt never leaves a partial deposit
-      (retry safety);
-    * each run is wrapped in :func:`repro.util.faults.retry_call` —
-      transient failures (I/O, corrupt payloads, kernel errors) are
-      retried with backoff, and every retry invalidates the run's
-      geometry-cache entries first (a corrupt read may have populated
-      the cache from a corrupt source);
-    * a run that exhausts its retry budget is **quarantined** (when
-      ``recovery.quarantine``): its disposition is durably recorded and
-      the campaign completes *degraded* on the survivors;
-    * with a checkpoint manager, each completed run's delta is
-      persisted; with ``recovery.resume`` completed runs replay from
-      disk (digest-verified) instead of recomputing.  The final
-      histograms are then rebuilt by summing the per-run deltas in
-      **ascending run order** — the float-addition order is therefore
-      independent of rank layout, crashes and resume points, which is
-      what makes kill-and-resume bit-identical;
-    * an injected :class:`~repro.util.faults.RankCrashError` marks the
-      rank dead: its unfinished runs are published to the world
-      (``Comm.mark_failed``), the survivors' next barrier completes
-      with the remaining parties, and the dead rank's backlog is
-      redistributed round-robin over the alive ranks.  A second crash
-      during the takeover phase is *not* re-redistributed — it fails
-      loudly through the runner (double-fault policy).
-    """
-    require(n_runs >= 1, "need at least one run")
-    cache = _gc.resolve(cache)
-    comm = comm or SequentialComm()
-    timings = timings or StageTimings(label=f"cross-section[{backend or 'default'}]")
-    tracer = _trace.active_tracer()
-    ckpt = recovery.checkpoint
-
-    binmd_hist = Hist3(grid, track_errors=True)
-    mdnorm_hist = Hist3(grid)
+    # this rank's totals (under a checkpoint the root rebuilds the
+    # result from the durable deltas instead)
+    fold = RunFold(grid)
     dispositions: Dict[int, Dict[str, Any]] = {}
-    done_local: set = set()
-    monitor = _monitor.active_monitor()
-    events_seen: Dict[int, int] = {}
 
-    def compute_delta(i: int) -> Tuple[Hist3, Hist3, int]:
-        """One run's contribution in scratch histograms (with retry)."""
-        attempts_used = [0]
-
-        def attempt(attempt_no: int) -> Tuple[Hist3, Hist3]:
-            attempts_used[0] = attempt_no
-            if monitor.enabled:
-                # announce the run *before* its fault point so a slow /
-                # wedged run ages this heartbeat (stall detection)
-                monitor.heartbeat(
-                    comm.rank, site=f"run:{i}/UpdateEvents", run=i
-                )
-            _faults.fault_point("run", run=i)
-            scratch_b = Hist3(grid, track_errors=True)
-            scratch_m = Hist3(grid)
-            with timings.stage("UpdateEvents"):
-                ws = load_run(i)
-            if ws.ub_matrix is None:
-                raise ValidationError(
-                    f"run index {i} carries no UB matrix; Algorithm 1 needs it"
-                )
-            event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
-            traj_transforms = grid.transforms_for(
-                ws.ub_matrix, point_group, goniometer=ws.goniometer
+    def compute_run(i: int, attempt_no: int) -> Tuple[Hist3, Hist3, int, int]:
+        """Run ``i``'s contribution in fresh scratch histograms, so a
+        failed attempt never leaves a partial deposit (retry safety);
+        returns them with the run's event count and ``attempt_no``."""
+        if monitor.enabled:
+            # announce the run *before* its fault point so a slow /
+            # wedged run ages this heartbeat (stall detection)
+            monitor.heartbeat(
+                comm.rank, site=f"run:{i}/UpdateEvents", run=i
             )
-            if monitor.enabled:
-                monitor.heartbeat(comm.rank, site=f"run:{i}/MDNorm")
-            with timings.stage("MDNorm"):
-                _faults.fault_point("kernel.mdnorm", run=i)
-                if mdnorm_impl is not None:
-                    mdnorm_impl(
-                        scratch_m, traj_transforms, det_directions,
-                        solid_angles, flux, ws.momentum_band,
-                        charge=ws.proton_charge,
-                    )
-                elif shards is not None:
-                    sharded_mdnorm(
-                        scratch_m, traj_transforms, det_directions,
-                        solid_angles, flux, ws.momentum_band,
-                        shards=shards, charge=ws.proton_charge,
-                        backend=backend, cache=cache, cache_tag=f"run:{i}",
-                        run=i,
-                        on_shard=_shard_beat(monitor, comm, i, "MDNorm"),
-                    )
-                else:
-                    mdnorm(
-                        scratch_m, traj_transforms, det_directions,
-                        solid_angles, flux, ws.momentum_band,
-                        charge=ws.proton_charge, backend=backend,
-                        sort_impl=sort_impl, scatter_impl=scatter_impl,
-                        cache=cache, cache_tag=f"run:{i}",
-                    )
-            if monitor.enabled:
-                monitor.heartbeat(comm.rank, site=f"run:{i}/BinMD")
-            with timings.stage("BinMD"):
-                _faults.fault_point("kernel.binmd", run=i)
-                if binmd_impl is not None:
-                    binmd_impl(scratch_b, ws.events, event_transforms)
-                elif shards is not None or _is_lazy(ws.events):
-                    sharded_binmd(
-                        scratch_b, ws.events, event_transforms,
-                        shards=shards if shards is not None else _OOC_FALLBACK,
-                        run=i,
-                        on_shard=_shard_beat(monitor, comm, i, "BinMD"),
-                    )
-                else:
-                    bin_events(
-                        scratch_b, ws.events, event_transforms,
-                        backend=backend, scatter_impl=scatter_impl,
-                        cache=cache, cache_tag=f"run:{i}",
-                    )
-            events_seen[i] = _n_events(ws)
-            return scratch_b, scratch_m
-
-        def on_retry(exc: BaseException, attempt_no: int) -> None:
-            # a corrupt read may have seeded the cache from bad bytes
-            cache.invalidate(f"run:{i}")
-
-        # deadline propagation: a campaign deadline caps every per-run
-        # retry backoff, so retries never sleep past the cancel token
-        retry_kwargs: Dict[str, Any] = {}
-        if recovery.cancel is not None and recovery.cancel.deadline is not None:
-            retry_kwargs["deadline"] = recovery.cancel.deadline
-            retry_kwargs["clock"] = recovery.cancel.clock
-        scratch_b, scratch_m = _faults.retry_call(
-            attempt,
-            site=f"run[{i}]",
-            policy=recovery.retry,
-            retryable=recovery.retryable,
-            on_retry=on_retry,
-            **retry_kwargs,
+        _faults.fault_point("run", run=i)
+        scratch_b = Hist3(grid, track_errors=True)
+        scratch_m = Hist3(grid)
+        ws = load_checked(load_run, i, timings)
+        event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
+        traj_transforms = grid.transforms_for(
+            ws.ub_matrix, point_group, goniometer=ws.goniometer
         )
-        return scratch_b, scratch_m, attempts_used[0]
+        if monitor.enabled:
+            monitor.heartbeat(comm.rank, site=f"run:{i}/MDNorm")
+        with timings.stage("MDNorm"):
+            _faults.fault_point("kernel.mdnorm", run=i)
+            if mdnorm_impl is not None:
+                mdnorm_impl(
+                    scratch_m, traj_transforms, det_directions,
+                    solid_angles, flux, ws.momentum_band,
+                    charge=ws.proton_charge,
+                )
+            elif shards is not None:
+                sharded_mdnorm(
+                    scratch_m, traj_transforms, det_directions,
+                    solid_angles, flux, ws.momentum_band,
+                    shards=shards, charge=ws.proton_charge,
+                    backend=backend, cache=cache, cache_tag=f"run:{i}",
+                    run=i,
+                    on_shard=_shard_beat(monitor, comm, i, "MDNorm"),
+                )
+            else:
+                mdnorm(
+                    scratch_m, traj_transforms, det_directions,
+                    solid_angles, flux, ws.momentum_band,
+                    charge=ws.proton_charge, backend=backend,
+                    sort_impl=sort_impl, scatter_impl=scatter_impl,
+                    cache=cache, cache_tag=f"run:{i}",
+                )
+        if monitor.enabled:
+            monitor.heartbeat(comm.rank, site=f"run:{i}/BinMD")
+        with timings.stage("BinMD"):
+            _faults.fault_point("kernel.binmd", run=i)
+            if binmd_impl is not None:
+                binmd_impl(scratch_b, ws.events, event_transforms)
+            elif shards is not None or _is_lazy(ws.events):
+                sharded_binmd(
+                    scratch_b, ws.events, event_transforms,
+                    shards=shards if shards is not None else _OOC_FALLBACK,
+                    run=i,
+                    on_shard=_shard_beat(monitor, comm, i, "BinMD"),
+                )
+            else:
+                bin_events(
+                    scratch_b, ws.events, event_transforms,
+                    backend=backend, scatter_impl=scatter_impl,
+                    cache=cache, cache_tag=f"run:{i}",
+                )
+        return scratch_b, scratch_m, n_events(ws), attempt_no
 
     def process_run(i: int) -> None:
-        """Resume-or-compute run ``i``; quarantine on exhausted retries."""
+        """Resume, compute or quarantine run ``i``; fold its delta."""
         with tracer.span("run", kind="run", run=int(i)):
             if ckpt is not None and recovery.resume:
-                if ckpt.is_quarantined(i):
-                    dispositions[i] = {"status": "quarantined",
-                                       "rank": int(comm.rank),
-                                       "resumed": True}
-                    if monitor.enabled:
-                        monitor.record_quarantine(comm.rank, i)
-                    done_local.add(i)
-                    return
-                if ckpt.has_run(i):
-                    try:
-                        delta = ckpt.load_run(i, grid)
-                    except CheckpointCorruptError:
-                        tracer.count("checkpoint.corrupt")
-                        cache.invalidate(f"run:{i}")
-                    else:
-                        binmd_hist.signal += delta.binmd_signal
-                        if (binmd_hist.error_sq is not None
-                                and delta.binmd_error_sq is not None):
-                            binmd_hist.error_sq += delta.binmd_error_sq
-                        mdnorm_hist.signal += delta.mdnorm_signal
-                        rec = ckpt.run_record(i) or {}
-                        dispositions[i] = {
-                            "status": "resumed",
-                            "rank": int(comm.rank),
-                            "attempts": int(rec.get("attempts", 1)),
-                        }
-                        tracer.count("checkpoint.resumed")
-                        if monitor.enabled:
-                            monitor.record_resume(comm.rank, i)
-                        done_local.add(i)
-                        return
-            try:
-                scratch_b, scratch_m, attempts = compute_delta(i)
-            except _faults.RetryExhaustedError as exc:
-                if not recovery.quarantine:
-                    raise
-                reason = repr(exc.last)
-                if ckpt is not None:
-                    ckpt.quarantine_run(i, reason)
-                dispositions[i] = {"status": "quarantined",
-                                   "rank": int(comm.rank),
-                                   "attempts": int(exc.attempts),
-                                   "reason": reason}
-                tracer.count("quarantine.runs")
-                if monitor.enabled:
-                    monitor.record_quarantine(comm.rank, i)
-                done_local.add(i)
-                return
-            binmd_hist.add(scratch_b)
-            mdnorm_hist.add(scratch_m)
-            if ckpt is not None:
-                ckpt.save_run(i, scratch_b, scratch_m,
-                              attempts=attempts, rank=comm.rank)
-            dispositions[i] = {"status": "done", "rank": int(comm.rank),
-                               "attempts": int(attempts)}
-            if monitor.enabled:
-                monitor.run_completed(
-                    comm.rank, i, events=float(events_seen.get(i, 0))
+                resumed = resume_disposition(
+                    ckpt, i, grid, rank=comm.rank, cache=cache, monitor=monitor
                 )
-            done_local.add(i)
+                if resumed is not None:
+                    dispositions[i] = resumed
+                    return
+            try:
+                scratch_b, scratch_m, events, attempts = call_run(
+                    lambda n: compute_run(i, n), site=f"run[{i}]",
+                    recovery=recovery,
+                    # a corrupt read may have seeded the cache from bad bytes
+                    on_retry=lambda exc, n: cache.invalidate(f"run:{i}"),
+                )
+            except _faults.RetryExhaustedError as exc:
+                if recovery is None or not recovery.quarantine:
+                    raise
+                dispositions[i] = quarantine_disposition(
+                    ckpt, i, exc, rank=comm.rank, monitor=monitor
+                )
+                return
+            fold.add(RunDelta(i, scratch_b.signal, scratch_b.error_sq,
+                              scratch_m.signal))
+            dispositions[i] = done_disposition(
+                ckpt, i, scratch_b, scratch_m, attempts=attempts,
+                rank=comm.rank, monitor=monitor, events=events,
+            )
 
     start, end = _rank_block(n_runs, comm, run_weights)
     my_runs = list(range(start, end))
     if monitor.enabled:
         monitor.start_campaign(n_runs, comm.size)
         monitor.assign_runs(comm.rank, len(my_runs))
+    span_attrs: Dict[str, Any] = {}
+    if recovery is not None:
+        span_attrs["recovery"] = True
+    if shards is not None:
+        span_attrs["n_shards"] = int(shards.n_shards)
     with tracer.span(
         "cross_section",
         kind="algorithm",
@@ -649,45 +665,33 @@ def _compute_cross_section_recovering(
         n_runs=int(n_runs),
         mpi_rank=int(comm.rank),
         mpi_size=int(comm.size),
-        recovery=True,
-        **({"n_shards": int(shards.n_shards)} if shards is not None else {}),
-    ), timings.stage("Total"), _cancel.cancel_scope(recovery.cancel):
-        crashed = False
-        for pos, i in enumerate(my_runs):
-            # cooperative cancellation between durable units: every run
-            # completed so far is already checkpointed, so stopping here
-            # leaves the campaign resumable bit-identically
-            if recovery.cancel is not None:
-                try:
-                    recovery.cancel.check(f"campaign (before run {i})")
-                except CancelledError:
-                    tracer.count("campaign.cancelled")
-                    raise
+        **span_attrs,
+    ), timings.stage("Total"), (
+        _cancel.cancel_scope(recovery.cancel) if recovery is not None
+        else contextlib.nullcontext()
+    ):
+        for i in my_runs:
+            _check_cancel(recovery, f"campaign (before run {i})")
             try:
                 process_run(i)
             except _faults.RankCrashError:
-                if comm.size == 1:
-                    raise  # a lone rank cannot recover from its own death
+                if recovery is None or comm.size == 1:
+                    # no-op policy, or a lone rank that cannot recover
+                    # from its own death
+                    raise
                 # durable work survives; everything else is the backlog
                 if ckpt is not None:
-                    leftover = [j for j in my_runs if j not in done_local]
+                    leftover = [j for j in my_runs if j not in dispositions]
                 else:
                     leftover = list(my_runs)  # in-memory partials die with us
                 comm.mark_failed({"runs": leftover})
                 tracer.count("rank.crash")
                 if monitor.enabled:
                     monitor.record_crash(comm.rank)
-                crashed = True
-                break
-        if crashed:
-            return CrossSectionResult(
-                cross_section=None, binmd=None, mdnorm=None,
-                timings=timings, n_runs=n_runs,
-                backend=backend or "default",
-            )
+                return non_root_result(timings, n_runs, backend)
 
         # -- rendezvous: learn who died, adopt their backlog ---------------
-        if comm.size > 1:
+        if recovery is not None and comm.size > 1:
             comm.Barrier()
             failed = comm.failed_ranks()
             if failed:
@@ -700,105 +704,42 @@ def _compute_cross_section_recovering(
                 takeover = [r for idx, r in enumerate(backlog)
                             if idx % len(alive) == pos_in_alive]
                 for i in takeover:
-                    if recovery.cancel is not None:
-                        try:
-                            recovery.cancel.check(
-                                f"campaign (before takeover run {i})"
-                            )
-                        except CancelledError:
-                            tracer.count("campaign.cancelled")
-                            raise
+                    _check_cancel(recovery, f"campaign (before takeover run {i})")
                     # a crash here is a double fault: fail loudly
                     process_run(i)
 
         # -- final combine --------------------------------------------------
-        alive = comm.alive_ranks()
-        eff_root = alive[0]
-        merged = _merge_dispositions(comm, dispositions, eff_root)
-
+        eff_root = comm.alive_ranks()[0]
+        merged = (_merge_dispositions(comm, dispositions)
+                  if recovery is not None else None)
         if ckpt is not None:
-            # every completed run's delta is durable: the effective root
-            # rebuilds the totals by summing deltas in ascending run
-            # order — bit-identical regardless of rank layout/crashes.
             comm.Barrier()
             if comm.rank != eff_root:
-                return CrossSectionResult(
-                    cross_section=None, binmd=None, mdnorm=None,
-                    timings=timings, n_runs=n_runs,
-                    backend=backend or "default",
-                )
-            binmd_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-            err_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-            mdnorm_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-            have_err = True
-            for i in ckpt.completed_runs():
-                delta = ckpt.load_run(i, grid)
-                binmd_total += delta.binmd_signal
-                if delta.binmd_error_sq is not None:
-                    err_total += delta.binmd_error_sq
-                else:
-                    have_err = False
-                mdnorm_total += delta.mdnorm_signal
-            binmd_out = Hist3(grid, signal=binmd_total,
-                              error_sq=err_total if have_err else None)
-            mdnorm_out = Hist3(grid, signal=mdnorm_total)
-            ckpt.mark_campaign_complete(
-                f"runs={len(ckpt.completed_runs())} "
-                f"quarantined={len(ckpt.quarantined_runs())}\n"
-            )
+                return non_root_result(timings, n_runs, backend)
+            rebuilt = fold_checkpoint(ckpt, grid)
+            binmd_out, mdnorm_out = rebuilt.binmd, rebuilt.mdnorm
         else:
             with tracer.span("mpi_reduce", kind="mpi",
                              mpi_rank=int(comm.rank), mpi_size=int(comm.size)):
                 is_root = comm.rank == eff_root
-                binmd_total = (np.empty_like(binmd_hist.signal)
-                               if is_root else None)
-                mdnorm_total = (np.empty_like(mdnorm_hist.signal)
-                                if is_root else None)
-                comm.Reduce(binmd_hist.signal, binmd_total,
-                            op=SUM, root=eff_root)
-                comm.Reduce(mdnorm_hist.signal, mdnorm_total,
-                            op=SUM, root=eff_root)
-            if comm.rank != eff_root:
-                return CrossSectionResult(
-                    cross_section=None, binmd=None, mdnorm=None,
-                    timings=timings, n_runs=n_runs,
-                    backend=backend or "default",
-                )
+                binmd_total = np.empty_like(fold.binmd.signal) if is_root else None
+                mdnorm_total = np.empty_like(fold.mdnorm.signal) if is_root else None
+                comm.Reduce(fold.binmd.signal, binmd_total, op=SUM, root=eff_root)
+                comm.Reduce(fold.mdnorm.signal, mdnorm_total, op=SUM, root=eff_root)
+            if not is_root:
+                return non_root_result(timings, n_runs, backend)
             binmd_out = Hist3(grid, signal=binmd_total)
             mdnorm_out = Hist3(grid, signal=mdnorm_total)
-
         cross = binmd_out.divide(mdnorm_out)
-    if monitor.enabled:
-        monitor.finish_campaign()
-    quarantined = sorted(
-        i for i, d in merged.items() if d.get("status") == "quarantined"
-    )
-    extras: Dict[str, Any] = {"recovery": {
-        "quarantined": quarantined,
-        "failed_ranks": sorted(comm.failed_ranks()),
-        "resumed": sorted(
-            i for i, d in merged.items() if d.get("status") == "resumed"
-        ),
-    }}
-    if cache.enabled:
-        extras["geom_cache"] = cache.stats.snapshot()
-    return CrossSectionResult(
-        cross_section=cross,
-        binmd=binmd_out,
-        mdnorm=mdnorm_out,
-        timings=timings,
-        n_runs=n_runs,
-        backend=backend or "default",
-        extras=extras,
-        degraded=bool(quarantined),
+    return root_result(
+        binmd_out, mdnorm_out, cross, timings=timings, n_runs=n_runs,
+        backend=backend, comm=comm, cache=cache, monitor=monitor,
         dispositions=merged,
     )
 
 
 def _merge_dispositions(
-    comm: Comm,
-    local: Dict[int, Dict[str, Any]],
-    eff_root: int,
+    comm: Comm, local: Dict[int, Dict[str, Any]]
 ) -> Dict[int, Dict[str, Any]]:
     """Allgather + merge per-rank run dispositions (dead ranks excluded)."""
     if comm.size == 1:

@@ -40,7 +40,6 @@ through ``on_shard`` so the PR 4 monitor can heartbeat per shard.
 
 from __future__ import annotations
 
-import importlib
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -577,55 +576,6 @@ def replay_shard_logs(
             f"{ctx.n_ranges} planned ranges")
     for n in range(ctx.n_outer):
         replay_deposits(ctx.captures.hist, [logs[n] for logs in per_range])
-
-
-# ---------------------------------------------------------------------------
-# campaign executor registry
-# ---------------------------------------------------------------------------
-
-#: name -> lazily resolved "module:function" reference (None = the
-#: built-in static plan handled inline by compute_cross_section).
-#: Lazy dotted references keep this registry import-cycle-free: the
-#: stealing executor imports *this* module for its shard contexts.
-_EXECUTORS: Dict[str, Optional[str]] = {
-    "static": None,
-    "stealing": "repro.mpi.stealing:run_stealing_campaign",
-}
-
-
-def register_executor(name: str, target: Optional[str]) -> None:
-    """Register a campaign executor.
-
-    ``target`` is a ``"module:function"`` reference to a callable with
-    the :func:`repro.mpi.stealing.run_stealing_campaign` signature, or
-    ``None`` for executors handled inline.  Registration is how the
-    conformance matrix auto-discovers executors — a new entry here gets
-    the full backend × op × seed treatment with no test edits.
-    """
-    require(bool(name), "executor name must be non-empty")
-    _EXECUTORS[str(name)] = target
-
-
-def available_executors() -> Tuple[str, ...]:
-    """Registered executor names, sorted (stable test parametrization)."""
-    return tuple(sorted(_EXECUTORS))
-
-
-def resolve_executor(name: Optional[str]) -> Optional[Callable[..., Any]]:
-    """The runner callable for ``name`` (None for the static plan)."""
-    if name is None:
-        return None
-    try:
-        target = _EXECUTORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor {name!r}; available: "
-            f"{', '.join(available_executors())}"
-        ) from None
-    if target is None:
-        return None
-    mod_name, _, fn_name = target.partition(":")
-    return getattr(importlib.import_module(mod_name), fn_name)
 
 
 # ---------------------------------------------------------------------------

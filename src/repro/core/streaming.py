@@ -267,7 +267,8 @@ class StreamingReduction:
                 return target
 
             if self.recovery is None:
-                _norm_into(self._mdnorm)
+                # scratch-then-add: the batch loop's per-run MDNorm fold
+                self._mdnorm.add(_norm_into(Hist3(self.grid)))
                 return
 
             def attempt(_attempt: int) -> Hist3:

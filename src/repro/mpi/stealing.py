@@ -26,10 +26,16 @@ chaotic — that is the point — so nothing numeric may depend on it:
   bit-identical to a serial execution of that run, regardless of which
   ranks executed which shards, in what order, with how many steals;
 * the effective root folds the per-run deltas in **ascending run
-  order** — the same fold as the PR 3 recovering loop and the
-  checkpoint rebuild, so the stealing result is bit-identical to the
-  static recovering execution (and to any checkpointed/resumed static
-  campaign) for *every* steal schedule.
+  order** through the campaign loop's one fold
+  (:class:`repro.core.cross_section.RunFold`), so for *every* steal
+  schedule the result equals, bit for bit, a static campaign with the
+  same per-run deltas (the sharded or ``serial`` loop) on one rank, or
+  checkpointed/resumed on any number of ranks.
+
+Everything per run that is not scheduling — load and UB check, the
+failure policy around an attempt, the resume/quarantine/done
+dispositions, the fold and the result — is the static loop's own
+code, imported from :mod:`repro.core.cross_section`.
 
 Checkpoint/resume compatibility: deltas checkpoint per run exactly as
 the static loop's do; on ``--resume`` completed runs replay from disk
@@ -54,8 +60,20 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core import geom_cache as _gc
-from repro.core.checkpoint import RecoveryConfig
-from repro.core.cross_section import CrossSectionResult
+from repro.core.checkpoint import RecoveryConfig, RunDelta
+from repro.core.cross_section import (
+    CrossSectionResult,
+    RunFold,
+    call_run,
+    done_disposition,
+    fold_checkpoint,
+    load_checked,
+    n_events,
+    non_root_result,
+    quarantine_disposition,
+    resume_disposition,
+    root_result,
+)
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.core.sharding import (
@@ -281,7 +299,7 @@ class _StealState:
         self.task_counts: Dict[int, int] = {}       # run -> total tasks
         self.events_per_run: Dict[int, int] = {}
         self.run_attempts: Dict[int, int] = {}
-        self.deltas: Dict[int, Tuple[Hist3, Hist3]] = {}
+        self.deltas: Dict[int, RunDelta] = {}
         self.dispositions: Dict[int, Dict[str, Any]] = {}
         self.finished_runs: Set[int] = set()
         self.helpers: List[threading.Thread] = []
@@ -414,7 +432,7 @@ def run_stealing_campaign(
         for t in list(state.helpers):
             t.join()
         if crashed:
-            return _non_root_result(timings, n_runs, backend)
+            return non_root_result(timings, n_runs, backend)
 
         # -- rendezvous + ascending-run fold on the effective root ------
         if comm.size > 1:
@@ -422,26 +440,19 @@ def run_stealing_campaign(
         alive = comm.alive_ranks()
         eff_root = alive[0]
         if comm.rank != eff_root:
-            return _non_root_result(timings, n_runs, backend)
+            return non_root_result(timings, n_runs, backend)
 
-        dispositions = dict(state.dispositions)
         if ckpt is not None:
-            binmd_out, mdnorm_out = _fold_from_checkpoint(ckpt, grid)
-            ckpt.mark_campaign_complete(
-                f"runs={len(ckpt.completed_runs())} "
-                f"quarantined={len(ckpt.quarantined_runs())}\n"
-            )
+            fold = fold_checkpoint(ckpt, grid)
         else:
-            binmd_out, mdnorm_out = _fold_from_deltas(state.deltas, grid)
-        cross = binmd_out.divide(mdnorm_out)
+            fold = RunFold.of(grid, (state.deltas[i] for i in sorted(state.deltas)))
+        cross = fold.binmd.divide(fold.mdnorm)
 
-    if monitor.enabled:
-        monitor.finish_campaign()
-    quarantined = sorted(
-        i for i, d in dispositions.items() if d.get("status") == "quarantined"
-    )
-    extras: Dict[str, Any] = {
-        "stealing": {
+    return root_result(
+        fold.binmd, fold.mdnorm, cross, timings=timings, n_runs=n_runs,
+        backend=backend, comm=comm, cache=cache, monitor=monitor,
+        dispositions=dict(state.dispositions),
+        extras={"stealing": {
             "steals": int(state.queue.steals),
             "adoptions": int(state.queue.adoptions),
             "births": int(state.births),
@@ -449,28 +460,7 @@ def run_stealing_campaign(
             "policy": state.controller.policy,
             "seed": state.controller.seed,
             "schedule_signature": state.controller.schedule_signature(),
-        },
-        "recovery": {
-            "quarantined": quarantined,
-            "failed_ranks": sorted(comm.failed_ranks()),
-            "resumed": sorted(
-                i for i, d in dispositions.items()
-                if d.get("status") == "resumed"
-            ),
-        },
-    }
-    if cache.enabled:
-        extras["geom_cache"] = cache.stats.snapshot()
-    return CrossSectionResult(
-        cross_section=cross,
-        binmd=binmd_out,
-        mdnorm=mdnorm_out,
-        timings=timings,
-        n_runs=n_runs,
-        backend=backend or "default",
-        extras=extras,
-        degraded=bool(quarantined),
-        dispositions=dispositions,
+        }},
     )
 
 
@@ -526,24 +516,11 @@ def _plan(
 
     for i in range(n_runs):
         if resume:
-            if ckpt.is_quarantined(i):
-                state.queue.drop_run(i)
-                state.dispositions[i] = {
-                    "status": "quarantined", "rank": int(comm.rank),
-                    "resumed": True,
-                }
-                if monitor.enabled:
-                    monitor.record_quarantine(comm.rank, i)
-                continue
-            if ckpt.has_run(i):
-                rec = ckpt.run_record(i) or {}
-                state.dispositions[i] = {
-                    "status": "resumed", "rank": int(comm.rank),
-                    "attempts": int(rec.get("attempts", 1)),
-                }
-                _trace.active_tracer().count("checkpoint.resumed")
-                if monitor.enabled:
-                    monitor.record_resume(comm.rank, i)
+            resumed = resume_disposition(
+                ckpt, i, grid, rank=comm.rank, cache=cache, monitor=monitor
+            )
+            if resumed is not None:
+                state.dispositions[i] = resumed
                 continue
         try:
             ws = _load_workspace(
@@ -553,8 +530,7 @@ def _plan(
         except _faults.RetryExhaustedError as exc:
             if recovery is None or not recovery.quarantine:
                 raise
-            _quarantine(state, i, repr(exc.last), int(exc.attempts),
-                        comm.rank, ckpt, monitor)
+            _quarantine(state, i, exc, comm.rank, ckpt, monitor)
             continue
         state.workspaces[i] = ws
         event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
@@ -563,7 +539,7 @@ def _plan(
             n_det, n_ops, shards.n_shards)
         binmd_ranges, binmd_weights = _binmd_plan(ws, n_ops, shards.n_shards)
         state.task_counts[i] = len(mdnorm_ranges) + len(binmd_ranges)
-        state.events_per_run[i] = _n_events(ws)
+        state.events_per_run[i] = n_events(ws)
         # each enqueue is a planning span whose uid rides the task, so
         # an executing (possibly stolen) span can link back to the
         # exact planning site across ranks
@@ -604,20 +580,9 @@ def _binmd_plan(ws: Any, n_ops: int, n_shards: int):
     if hasattr(events, "chunk_bounds") and hasattr(events, "window"):
         ranges = lazy_table_ranges(events, n_shards)
         return ranges, range_stored_nbytes(events, ranges)
-    n_events = _n_events(ws)
-    ranges = shard_ranges(n_events, n_shards)
+    ranges = shard_ranges(n_events(ws), n_shards)
     weights = [float(n_ops * (b - a)) for a, b in ranges]
     return ranges, weights
-
-
-def _n_events(ws: Any) -> int:
-    n = getattr(ws.events, "n_events", None)
-    if n is not None:
-        return int(n)
-    try:
-        return int(ws.events.data.shape[0])
-    except AttributeError:  # pragma: no cover - bare-array workspaces
-        return int(np.asarray(ws.events).shape[0])
 
 
 def _load_workspace(
@@ -630,31 +595,16 @@ def _load_workspace(
     monitor: Any,
     comm: Comm,
 ) -> Any:
-    """UpdateEvents with the run-level retry protocol (planning side)."""
+    """UpdateEvents under the run-level failure policy (planning side)."""
 
     def attempt(attempt_no: int) -> Any:
         if monitor.enabled:
             monitor.heartbeat(comm.rank, site=f"run:{i}/UpdateEvents", run=i)
-        with timings.stage("UpdateEvents"):
-            ws = load_run(i)
-        if ws.ub_matrix is None:
-            raise ValidationError(
-                f"run index {i} carries no UB matrix; Algorithm 1 needs it"
-            )
-        return ws
+        return load_checked(load_run, i, timings)
 
-    if recovery is None:
-        return attempt(1)
-
-    def on_retry(exc: BaseException, attempt_no: int) -> None:
-        cache.invalidate(f"run:{i}")
-
-    return _faults.retry_call(
-        attempt,
-        site=f"run[{i}]",
-        policy=recovery.retry,
-        retryable=recovery.retryable,
-        on_retry=on_retry,
+    return call_run(
+        attempt, site=f"run[{i}]", recovery=recovery,
+        on_retry=lambda exc, n: cache.invalidate(f"run:{i}"),
     )
 
 
@@ -851,23 +801,12 @@ def _execute_task(
                 state.contexts.pop((task.run, task.stage), None)
 
         try:
-            if env.recovery is None:
-                logs = attempt(1)
-            else:
-                logs = _faults.retry_call(
-                    attempt,
-                    site=f"steal[{task.label}]",
-                    policy=env.recovery.retry,
-                    retryable=env.recovery.retryable,
-                    on_retry=on_retry,
-                )
+            logs = call_run(attempt, site=f"steal[{task.label}]",
+                            recovery=env.recovery, on_retry=on_retry)
         except _faults.RetryExhaustedError as exc:
             if env.recovery is None or not env.recovery.quarantine:
                 raise
-            _quarantine(
-                state, task.run, repr(exc.last), int(exc.attempts),
-                rank, env.ckpt, env.monitor,
-            )
+            _quarantine(state, task.run, exc, rank, env.ckpt, env.monitor)
             q.complete(rank, task)
             return
 
@@ -956,32 +895,30 @@ def _maybe_finish_run(env: _ExecEnv, rank: int, run: int) -> None:
     scratch_b = ctx_b.captures.hist
 
     with state.lock:
-        state.deltas[run] = (scratch_b, scratch_m)
-        state.dispositions[run] = {
-            "status": "done", "rank": int(rank), "attempts": int(attempts),
-        }
+        state.deltas[run] = RunDelta(run, scratch_b.signal, scratch_b.error_sq,
+                                     scratch_m.signal)
         # release the run's working set (out-of-core hygiene)
         state.workspaces.pop(run, None)
         state.contexts.pop((run, "mdnorm"), None)
         state.contexts.pop((run, "binmd"), None)
-    if env.ckpt is not None:
-        env.ckpt.save_run(run, scratch_b, scratch_m,
-                          attempts=attempts, rank=rank)
-    if env.monitor.enabled:
-        env.monitor.run_completed(
-            rank, run, events=float(state.events_per_run.get(run, 0))
-        )
+    done = done_disposition(
+        env.ckpt, run, scratch_b, scratch_m, attempts=attempts, rank=rank,
+        monitor=env.monitor, events=state.events_per_run.get(run, 0),
+    )
+    with state.lock:
+        state.dispositions[run] = done
 
 
 def _quarantine(
     state: _StealState,
     run: int,
-    reason: str,
-    attempts: int,
+    exc: _faults.RetryExhaustedError,
     rank: int,
     ckpt: Any,
     monitor: Any,
 ) -> None:
+    """Drop the run's queued and in-flight work, then record it like the
+    static loop does."""
     state.queue.drop_run(run)
     with state.lock:
         state.logs.pop((run, "mdnorm"), None)
@@ -989,69 +926,6 @@ def _quarantine(
         state.contexts.pop((run, "mdnorm"), None)
         state.contexts.pop((run, "binmd"), None)
         state.workspaces.pop(run, None)
-        state.dispositions[run] = {
-            "status": "quarantined", "rank": int(rank),
-            "attempts": int(attempts), "reason": reason,
-        }
-    if ckpt is not None:
-        ckpt.quarantine_run(run, reason)
-    _trace.active_tracer().count("quarantine.runs")
-    if monitor.enabled:
-        monitor.record_quarantine(rank, run)
-
-
-# ---------------------------------------------------------------------------
-# the final fold
-# ---------------------------------------------------------------------------
-
-def _fold_from_deltas(
-    deltas: Dict[int, Tuple[Hist3, Hist3]], grid: HKLGrid
-) -> Tuple[Hist3, Hist3]:
-    """Ascending-run fold of in-memory per-run deltas — the same float
-    association as the PR 3 recovering loop and the checkpoint rebuild."""
-    binmd_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    err_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    mdnorm_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    have_err = True
-    for i in sorted(deltas):
-        scratch_b, scratch_m = deltas[i]
-        binmd_total += scratch_b.signal
-        if scratch_b.error_sq is not None:
-            err_total += scratch_b.error_sq
-        else:
-            have_err = False
-        mdnorm_total += scratch_m.signal
-    return (
-        Hist3(grid, signal=binmd_total,
-              error_sq=err_total if have_err else None),
-        Hist3(grid, signal=mdnorm_total),
-    )
-
-
-def _fold_from_checkpoint(ckpt: Any, grid: HKLGrid) -> Tuple[Hist3, Hist3]:
-    binmd_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    err_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    mdnorm_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    have_err = True
-    for i in ckpt.completed_runs():
-        delta = ckpt.load_run(i, grid)
-        binmd_total += delta.binmd_signal
-        if delta.binmd_error_sq is not None:
-            err_total += delta.binmd_error_sq
-        else:
-            have_err = False
-        mdnorm_total += delta.mdnorm_signal
-    return (
-        Hist3(grid, signal=binmd_total,
-              error_sq=err_total if have_err else None),
-        Hist3(grid, signal=mdnorm_total),
-    )
-
-
-def _non_root_result(
-    timings: StageTimings, n_runs: int, backend: Optional[str]
-) -> CrossSectionResult:
-    return CrossSectionResult(
-        cross_section=None, binmd=None, mdnorm=None,
-        timings=timings, n_runs=n_runs, backend=backend or "default",
-    )
+    disposition = quarantine_disposition(ckpt, run, exc, rank=rank, monitor=monitor)
+    with state.lock:
+        state.dispositions[run] = disposition

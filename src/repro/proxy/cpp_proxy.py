@@ -243,7 +243,7 @@ class CppProxyConfig:
     point_group: PointGroup
     n_threads: Optional[int] = None
     #: failure policy (retry/quarantine/checkpoint/resume); None =
-    #: historical fail-fast loop
+    #: fail fast (the loop's no-op policy)
     recovery: Optional[RecoveryConfig] = None
 
     def __post_init__(self) -> None:

@@ -6,6 +6,12 @@ import pytest
 from repro.core.cross_section import compute_cross_section
 from repro.core.md_event_workspace import load_md
 from repro.mpi import run_world
+from repro.util.faults import (
+    FaultPlan,
+    FaultSpec,
+    RetryExhaustedError,
+    use_fault_plan,
+)
 from repro.util.timers import StageTimings
 from repro.util.validation import ValidationError
 
@@ -83,6 +89,47 @@ class TestSingleRank:
                 det_directions=tiny_experiment.instrument.directions,
                 solid_angles=tiny_experiment.vanadium.detector_weights,
             )
+
+
+class TestFailFastPolicy:
+    """``recovery=None`` is the campaign loop's no-op failure policy: one
+    direct attempt per run, outside any retry scope."""
+
+    def test_load_error_propagates_after_one_call(self, tiny_experiment):
+        exp = tiny_experiment
+        calls = []
+
+        def load_run(i):
+            calls.append(i)
+            raise OSError("run file vanished")
+
+        with pytest.raises(OSError, match="vanished") as info:
+            compute_cross_section(
+                load_run=load_run,
+                n_runs=len(exp.md_paths),
+                grid=exp.grid,
+                point_group=exp.point_group,
+                flux=exp.flux,
+                det_directions=exp.instrument.directions,
+                solid_angles=exp.vanadium.detector_weights,
+            )
+        assert type(info.value) is OSError
+        assert not isinstance(info.value, RetryExhaustedError)
+        assert calls == [0]
+
+    def test_recovery_scoped_faults_never_fire(self, tiny_experiment):
+        plan = FaultPlan(
+            [FaultSpec(site="kernel.*", kind="kernel_error",
+                       probability=1.0, scope="recovery")],
+            seed=11,
+        )
+        with use_fault_plan(plan):
+            res = _run_cs(tiny_experiment)
+        assert plan.events == []
+        assert res.dispositions is None and not res.degraded
+        clean = _run_cs(tiny_experiment)
+        assert np.array_equal(res.mdnorm.signal, clean.mdnorm.signal)
+        assert np.array_equal(res.binmd.signal, clean.binmd.signal)
 
 
 class TestMPIDecomposition:

@@ -66,9 +66,9 @@ class TestStreamingReduction:
                 streaming.consume(batch)
             streaming.close_run(run.run_number)
         reference = _batch_reference(exp)
-        assert np.allclose(streaming.binmd.signal, reference.binmd.signal)
-        assert np.allclose(streaming.mdnorm_hist.signal,
-                           reference.mdnorm.signal, rtol=1e-10)
+        assert np.array_equal(streaming.binmd.signal, reference.binmd.signal)
+        assert np.array_equal(streaming.mdnorm_hist.signal,
+                              reference.mdnorm.signal)
         a = streaming.snapshot().signal
         b = reference.cross_section.signal
         mask = ~np.isnan(b)

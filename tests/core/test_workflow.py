@@ -52,6 +52,10 @@ class TestWorkflow:
         with pytest.raises(ValidationError):
             _config(tiny_experiment, md_paths=[])
 
+    def test_unknown_executor_rejected(self, tiny_experiment):
+        with pytest.raises(ValueError, match="stealing"):
+            _config(tiny_experiment, executor="fifo")
+
     def test_vanadium_instrument_mismatch_rejected(self, tiny_experiment):
         wrong = make_corelli(n_pixels=100)
         with pytest.raises(ValidationError, match="vanadium"):

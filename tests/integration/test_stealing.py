@@ -42,12 +42,7 @@ from repro.core.checkpoint import RecoveryConfig
 from repro.core.cross_section import compute_cross_section
 from repro.core.grid import HKLGrid
 from repro.core.md_event_workspace import convert_to_md, load_md, save_md
-from repro.core.sharding import (
-    ShardConfig,
-    available_executors,
-    register_executor,
-    resolve_executor,
-)
+from repro.core.sharding import ShardConfig
 from repro.crystal.goniometer import Goniometer
 from repro.crystal.structures import benzil
 from repro.crystal.symmetry import point_group
@@ -72,9 +67,6 @@ N_SHARDS = 2
 N_FUZZ_SEEDS = 50
 SIZES = (2, 3, 4)
 POLICY = RetryPolicy(max_attempts=3, base_delay_s=0.0)
-
-#: the matrix rows, auto-discovered like the back-end matrix's
-EXECUTORS = tuple(available_executors())
 BACKENDS = tuple(available_backends())
 
 
@@ -501,33 +493,3 @@ class TestExecutorBackendConformance:
             )
             _assert_identical(res, golden, steal_baseline,
                               label=f"{backend} seed={seed}")
-
-    def test_executor_rows_auto_discovered(self):
-        """The matrix rows come from the executor registry, exactly as
-        the back-end matrix's come from the back-end registry."""
-        assert set(EXECUTORS) <= set(available_executors())
-        assert {"static", "stealing"} <= set(EXECUTORS)
-
-    def test_future_executors_auto_register(self, exp, golden):
-        """Registering an executor is sufficient to put it in the
-        matrix: the rows are derived from the registry, and the oracle
-        check passes against a probe without this file changing."""
-        register_executor(
-            "conformance-probe", "repro.mpi.stealing:run_stealing_campaign"
-        )
-        try:
-            assert "conformance-probe" in available_executors()
-            res = compute_cross_section(
-                exp.loader, executor="conformance-probe",
-                schedule=ScheduleController(seed=2, policy="random"),
-                recovery=RecoveryConfig(retry=POLICY),
-                shards=_shards(), **exp.kw()
-            )
-            _assert_identical(res, golden)
-        finally:
-            from repro.core.sharding import _EXECUTORS
-
-            _EXECUTORS.pop("conformance-probe", None)
-        assert "conformance-probe" not in available_executors()
-        with pytest.raises(ValueError):
-            resolve_executor("conformance-probe")
