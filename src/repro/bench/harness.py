@@ -350,9 +350,10 @@ class ShardedPanel:
 
     ``baseline`` runs the single-level Algorithm 1 loop; ``sharded``
     fans each run out over ``n_shards`` intra-run shards on the local
-    process pool.  The histograms are bit-identical by construction
-    (the replay is serial-order); only the time differs — on a
-    multi-core host the sharded panel should win, which the
+    process pool.  The sharded histograms are bit-identical to the
+    unsharded ``vectorized`` ones by construction (shards run the batch
+    kernels and replay in their scatter order); only the time differs —
+    on a multi-core host the sharded panel should win, which the
     ``benchmarks/test_shard_scaling.py`` smoke asserts (and skips on
     single-core hosts, where no win is possible).
     """
@@ -381,10 +382,12 @@ def run_sharded_panel(
     """Measure the intra-run shard fan-out against the 1-shard loop.
 
     Both passes use fresh private geometry caches so neither side gets
-    a warm-path advantage; the sharded pass runs with the serial
-    element bodies fanned over the process pool, the baseline with
-    ``baseline_backend`` (default ``threads`` — the strongest
-    single-level CPU configuration, per the ISSUE's acceptance bar).
+    a warm-path advantage; the sharded pass fans the batch kernels'
+    deposit functions over ``workers`` processes (1 = in-process), the
+    baseline runs unsharded.  Both name ``baseline_backend`` (default
+    ``threads``; ``vectorized`` is the fastest single-process path and
+    the sharded pass's bit-identity reference), which in the sharded
+    pass only runs the MDNorm pre-pass.
     """
     from repro.core.sharding import ShardConfig
 
@@ -422,7 +425,7 @@ def run_sharded_panel(
     baseline = one(f"core[{baseline_backend}] 1-shard",
                    backend=baseline_backend, shards=None)
     sharded = one(f"core[sharded x{n_shards}/{eff_workers}w]",
-                  backend=None, shards=n_shards)
+                  backend=baseline_backend, shards=n_shards)
     return ShardedPanel(
         baseline=baseline, sharded=sharded,
         n_shards=n_shards, workers=eff_workers,

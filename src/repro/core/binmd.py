@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core import geom_cache as _gc
 from repro.core.geom_cache import BinMDEntry, GeomCache
+from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.jacc import parallel_for
 from repro.jacc.kernels import Captures, Kernel
@@ -50,14 +51,32 @@ def _bin_events_element(ctx: Captures, n: int, i: int) -> None:
     ctx.hist.push(c0, c1, c2, ev[i, COL_SIGNAL], ev[i, COL_ERROR_SQ])
 
 
+def _event_bins(
+    q: np.ndarray, op_t: np.ndarray, grid: HKLGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Listing 3's math for a block of events: ``(flat_idx, inside)`` of
+    ``q`` transformed by one op (``op_t`` is the op transposed).
+
+    Every block goes through the same matrix-matrix product, so an
+    event's coordinates never depend on which block it is in: a single
+    row is padded to two, because numpy would otherwise take the
+    matrix-vector path, whose rounding differs.
+    """
+    if q.shape[0] == 1:
+        coords = (np.concatenate((q, q)) @ op_t)[:1]
+    else:
+        coords = q @ op_t
+    return grid.bin_index(coords)
+
+
 def _bin_events_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     """Device realization: per op, fused transform + scatter over events.
 
     With a warm :class:`BinMDEntry` the transform and bin search are
     skipped: the cached flat indices / inside masks are sliced per tile
-    and scatter-added exactly as :meth:`Hist3.push_many` would have —
-    the index arrays are event-independent of the tiling, so the warm
-    scatter sequence is bit-identical to the cold one.
+    and scatter-added exactly as the cold pass does — the index arrays
+    are independent of the tiling, so the warm scatter sequence is
+    bit-identical to the cold one.
     """
     n_ops, n_events = dims
     ev = ctx.events
@@ -66,47 +85,55 @@ def _bin_events_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     err_sq = ev[:, COL_ERROR_SQ]
     tile = ctx.tile
     hist: Hist3 = ctx.hist
+    flat_signal = hist.flat_signal
+    flat_err = hist.flat_error_sq
     entry: Optional[BinMDEntry] = getattr(ctx, "binmd_entry", None)
-
-    if entry is not None:
-        flat_signal = hist.flat_signal
-        flat_err = hist.flat_error_sq
-        for n in range(n_ops):
-            op_flat = entry.flat_idx[n]
-            op_inside = entry.inside[n]
-            for start in range(0, n_events, tile):
-                stop = min(start + tile, n_events)
-                inside = op_inside[start:stop]
-                idx = op_flat[start:stop][inside]
-                Hist3._scatter(
-                    flat_signal, idx, weights[start:stop][inside], ctx.scatter_impl
-                )
-                if flat_err is not None:
-                    Hist3._scatter(
-                        flat_err, idx, err_sq[start:stop][inside], ctx.scatter_impl
-                    )
-        return
-
     collect: Optional[BinMDEntry] = getattr(ctx, "binmd_collect", None)
+
     for n in range(n_ops):
         op_t = ctx.transforms[n].T
         for start in range(0, n_events, tile):
             stop = min(start + tile, n_events)
-            coords = q[start:stop] @ op_t
-            if collect is not None:
-                flat, inside = hist.grid.bin_index(coords)
-                collect.flat_idx[n, start:stop] = flat
-                collect.inside[n, start:stop] = inside
-            hist.push_many(
-                coords,
-                weights[start:stop],
-                err_sq[start:stop],
-                scatter_impl=ctx.scatter_impl,
+            if entry is not None:
+                flat = entry.flat_idx[n, start:stop]
+                inside = entry.inside[n, start:stop]
+            else:
+                flat, inside = _event_bins(q[start:stop], op_t, hist.grid)
+                if collect is not None:
+                    collect.flat_idx[n, start:stop] = flat
+                    collect.inside[n, start:stop] = inside
+            idx = flat[inside]
+            Hist3._scatter(
+                flat_signal, idx, weights[start:stop][inside], ctx.scatter_impl
             )
+            if flat_err is not None:
+                Hist3._scatter(
+                    flat_err, idx, err_sq[start:stop][inside], ctx.scatter_impl
+                )
     if collect is not None:
         collect.flat_idx = _gc.freeze(collect.flat_idx)
         collect.inside = _gc.freeze(collect.inside)
         ctx.binmd_cache.put(collect)
+
+
+def binmd_deposits(
+    ctx: Captures, n: int, a: int, b: int
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The batch kernel's deposit log for op ``n`` over events
+    ``[a, b)``: ``(flat_idx, weight, err_sq | None)`` in scatter order.
+
+    Logs taken op-major over ascending contiguous event ranges
+    concatenate to the exact deposit sequence of
+    :func:`_bin_events_batch`, so replaying them with ``np.add.at`` is
+    bit-identical to the unsharded batch kernel.  ``ctx`` carries
+    ``grid``, ``events``, ``transforms`` and ``track_errors``.
+    """
+    ev = ctx.events[a:b]
+    flat, inside = _event_bins(
+        ev[:, COL_QX : COL_QZ + 1], ctx.transforms[n].T, ctx.grid
+    )
+    err_sq = ev[:, COL_ERROR_SQ][inside] if ctx.track_errors else None
+    return flat[inside], ev[:, COL_SIGNAL][inside], err_sq
 
 
 BIN_EVENTS_KERNEL = Kernel(

@@ -133,9 +133,9 @@ def _is_lazy(events: Any) -> bool:
 
 
 #: degenerate fan-out for out-of-core runs reduced without ``--shards``:
-#: the record/replay machinery still cuts the run into budget-capped,
-#: chunk-aligned windows (bit-identical for every cut), it just does so
-#: in-process with no pool
+#: the shard log/replay machinery still cuts BinMD into budget-capped,
+#: chunk-aligned windows (bit-identical to the in-memory ``vectorized``
+#: BinMD for every cut), it just does so in-process with no pool
 _OOC_FALLBACK = ShardConfig(n_shards=1, workers=1)
 
 
@@ -499,8 +499,10 @@ def compute_cross_section(
         shards and its BinMD over event shards on the node-local
         process pool (:func:`repro.core.sharding.sharded_mdnorm` /
         :func:`~repro.core.sharding.sharded_binmd`) — the second level
-        of the hierarchical decomposition.  The result is bit-identical
-        to the unsharded ``serial`` loop for every shard/worker count.
+        of the hierarchical decomposition.  Shards run the batch
+        kernels, so the result is bit-identical to the unsharded
+        ``vectorized`` loop for every shard/worker count and every
+        ``backend`` (which then only runs the MDNorm pre-pass).
         Ignored for a stage whose ``*_impl`` override is set (the
         override owns its own parallelism).
     run_weights:

@@ -157,7 +157,8 @@ class DepositPlan:
 
     #: cache material is process-local: the multiprocess back end drops
     #: it from worker captures instead of shipping it (element bodies
-    #: never read it — only batch kernels, which never cross processes)
+    #: and shard deposit functions never read it — only the in-process
+    #: batch kernels do)
     __jacc_shareable__ = False
 
     #: the padded intersection-buffer width this plan was built for

@@ -98,7 +98,7 @@ def detector_activity(k_lo: np.ndarray, k_hi: np.ndarray) -> np.ndarray:
     these are the weights the balanced shard planner
     (:func:`repro.mpi.decomposition.weighted_shard_ranges`) cuts the
     detector axis with.  Shard *boundaries* never affect the result
-    (the replay is serial-order regardless), only the balance.
+    (the replay is in kernel order regardless), only the balance.
     """
     lo = np.asarray(k_lo, dtype=np.float64)
     hi = np.asarray(k_hi, dtype=np.float64)

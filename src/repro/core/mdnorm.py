@@ -224,6 +224,58 @@ def _mdnorm_element(ctx: Captures, n: int, d: int) -> None:
         phi_lo = phi_hi
 
 
+def _live_rows(
+    directions: np.ndarray, k_lo: np.ndarray, k_hi: np.ndarray,
+    det_w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stream compaction: trajectories that never enter the grid box (or
+    carry zero weight) do no work — their lanes are dropped up front
+    instead of padded through the sort and interpolation stages.
+    Returns the ``live`` mask and the compacted inputs."""
+    live = (k_hi > k_lo) & (det_w != 0.0)
+    return live, directions[live], k_lo[live], k_hi[live], det_w[live]
+
+
+def _segments(
+    directions: np.ndarray,
+    k_lo: np.ndarray,
+    k_hi: np.ndarray,
+    grid: HKLGrid,
+    flux_k: np.ndarray,
+    flux_cum: np.ndarray,
+    width: int,
+    sort_impl: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Listing 1's steps 3-5 for a block of live trajectories.
+
+    Returns per-segment ``(seg_flux, flat_idx, seg_ok)``, each
+    ``(rows, width - 1)``.  Rows are independent, so any row block of
+    the same trajectories yields the same values bit for bit.
+    """
+    padded = sorted_crossings_batch(
+        directions, grid, k_lo, k_hi, width, sort_impl=sort_impl,
+    )
+    phi = np.interp(padded, flux_k, flux_cum)
+    seg_lo = padded[:, :-1]
+    seg_hi = padded[:, 1:]
+    seg_flux = phi[:, 1:] - phi[:, :-1]
+    mid = 0.5 * (seg_lo + seg_hi)
+    coords = mid[:, :, None] * directions[:, None, :]
+    flat_idx, inside = grid.bin_index(coords)
+    return seg_flux, flat_idx, inside & (seg_hi > seg_lo)
+
+
+def _deposits(
+    seg_flux: np.ndarray, flat_idx: np.ndarray, seg_ok: np.ndarray,
+    det_w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step 6's ``(flat_idx, weight)`` deposits of a block of segments,
+    in row-major scatter order."""
+    weights = seg_flux * det_w[:, None]
+    deposit = seg_ok & (weights != 0.0)
+    return flat_idx[deposit], weights[deposit]
+
+
 def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     """Device realization: stream-compacted rows, lane-parallel comb
     sort, vectorized flux interpolation, atomic scatter-add.
@@ -252,33 +304,22 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     if plan is not None:
         # ---- warm path: cached segment fluxes + bin indices ----------
         det_w_live = det_w[plan.live]
-        n_rows = plan.n_rows
-        for start in range(0, n_rows, tile):
-            stop = min(start + tile, n_rows)
-            seg_flux = plan.seg_flux[start:stop]
-            weights = seg_flux * det_w_live[start:stop, None]
-            deposit = plan.seg_ok[start:stop] & (weights != 0.0)
-            Hist3._scatter(
-                target, plan.flat_idx[start:stop][deposit],
-                weights[deposit], ctx.scatter_impl,
+        for start in range(0, plan.n_rows, tile):
+            stop = min(start + tile, plan.n_rows)
+            idx, weights = _deposits(
+                plan.seg_flux[start:stop], plan.flat_idx[start:stop],
+                plan.seg_ok[start:stop], det_w_live[start:stop],
             )
+            Hist3._scatter(target, idx, weights, ctx.scatter_impl)
         return
 
-    directions = ctx.directions.reshape(-1, 3)
-    k_lo = ctx.k_lo.reshape(-1)
-    k_hi = ctx.k_hi.reshape(-1)
-
-    # stream compaction: trajectories that never enter the grid box (or
-    # carry zero weight) do no work — drop their lanes up front instead
-    # of padding them through the sort and interpolation stages
-    live = (k_hi > k_lo) & (det_w != 0.0)
-    if not live.any():
-        return
-    directions = directions[live]
-    k_lo = k_lo[live]
-    k_hi = k_hi[live]
-    det_w = det_w[live]
+    live, directions, k_lo, k_hi, det_w = _live_rows(
+        ctx.directions.reshape(-1, 3), ctx.k_lo.reshape(-1),
+        ctx.k_hi.reshape(-1), det_w,
+    )
     n_rows = directions.shape[0]
+    if n_rows == 0:
+        return
 
     # collect the deposit plan alongside the cold pass when it can fit
     collect = None
@@ -295,31 +336,57 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
 
     for start in range(0, n_rows, tile):
         stop = min(start + tile, n_rows)
-        padded = sorted_crossings_batch(
-            directions[start:stop], grid, k_lo[start:stop], k_hi[start:stop],
-            width, sort_impl=ctx.sort_impl,
+        seg_flux, flat_idx, seg_ok = _segments(
+            directions[start:stop], k_lo[start:stop], k_hi[start:stop],
+            grid, ctx.flux_k, ctx.flux_cum, width, ctx.sort_impl,
         )
-        phi = np.interp(padded, ctx.flux_k, ctx.flux_cum)
-        seg_lo = padded[:, :-1]
-        seg_hi = padded[:, 1:]
-        seg_flux = phi[:, 1:] - phi[:, :-1]
-        mid = 0.5 * (seg_lo + seg_hi)
-        coords = mid[:, :, None] * directions[start:stop, None, :]
-        flat_idx, inside = grid.bin_index(coords)
-        weights = seg_flux * det_w[start:stop, None]
-        seg_ok = inside & (seg_hi > seg_lo)
-        deposit = seg_ok & (weights != 0.0)
         if collect is not None:
             collect.seg_flux[start:stop] = seg_flux
             collect.flat_idx[start:stop] = flat_idx
             collect.seg_ok[start:stop] = seg_ok
-        Hist3._scatter(target, flat_idx[deposit], weights[deposit], ctx.scatter_impl)
+        idx, weights = _deposits(seg_flux, flat_idx, seg_ok, det_w[start:stop])
+        Hist3._scatter(target, idx, weights, ctx.scatter_impl)
 
     if collect is not None:
         for name in ("live", "seg_flux", "flat_idx", "seg_ok"):
             getattr(collect, name).flags.writeable = False
         entry.deposit = collect
         ctx.geom_cache.note_update(entry)
+
+
+def mdnorm_deposits(
+    ctx: Captures, n: int, a: int, b: int
+) -> tuple[np.ndarray, np.ndarray, None]:
+    """The batch kernel's deposit log for op ``n`` over detectors
+    ``[a, b)``: ``(flat_idx, weight, None)`` in scatter order.
+
+    Same stream compaction and per-tile math as the cold path of
+    :func:`_mdnorm_batch`, returned instead of scattered.  Logs taken
+    op-major over ascending contiguous detector ranges concatenate to
+    that kernel's exact deposit sequence, so replaying them with
+    ``np.add.at`` is bit-identical to the unsharded batch kernel.
+    ``ctx`` carries ``grid``, ``directions``, ``k_lo``, ``k_hi``,
+    ``solid_angles``, ``charge``, ``flux_k``, ``flux_cum`` and
+    ``width``.
+    """
+    _, directions, k_lo, k_hi, det_w = _live_rows(
+        ctx.directions[n, a:b], ctx.k_lo[n, a:b], ctx.k_hi[n, a:b],
+        ctx.solid_angles[a:b] * ctx.charge,
+    )
+    idx_parts, w_parts = [], []
+    for start in range(0, directions.shape[0], DEFAULT_TILE_ROWS):
+        stop = start + DEFAULT_TILE_ROWS
+        idx, weights = _deposits(
+            *_segments(directions[start:stop], k_lo[start:stop],
+                       k_hi[start:stop], ctx.grid, ctx.flux_k, ctx.flux_cum,
+                       ctx.width, "comb"),
+            det_w[start:stop],
+        )
+        idx_parts.append(idx)
+        w_parts.append(weights)
+    if not idx_parts:
+        return np.empty(0, dtype=np.int64), np.empty(0), None
+    return np.concatenate(idx_parts), np.concatenate(w_parts), None
 
 
 MDNORM_KERNEL = Kernel(name="mdnorm", element=_mdnorm_element, batch=_mdnorm_batch)

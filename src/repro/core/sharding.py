@@ -9,23 +9,25 @@ out over **event ranges** (the contiguous shards planned by
 persistent process pool (:data:`repro.jacc.workers.GLOBAL_POOL`) with
 array captures in ``multiprocessing.shared_memory``.
 
-Determinism argument (DESIGN.md §6f).  Kernel *element* bodies deposit
-into the histogram in a fixed (op-major, index-minor) order; float
-addition is non-associative, so per-shard partial histograms would
-drift in the last ulp and depend on the shard count.  Shards therefore
-do not accumulate — they **record**: every shard task runs the scalar
-element body over ``(all ops) × (its contiguous index range)`` against
-a :class:`~repro.jacc.multiproc.RecordingHist3` and returns one
+Determinism argument (DESIGN.md §6f).  Float addition is
+non-associative, so per-shard partial histograms would drift in the
+last ulp and depend on the shard count.  Shards therefore do not
+accumulate — they **log**: every shard task runs the kernel's batch
+deposit function (:func:`repro.core.mdnorm.mdnorm_deposits` /
+:func:`repro.core.binmd.binmd_deposits`) once per op over its
+contiguous index range and returns one ``(flat_idx, weight[, err_sq])``
 deposit log *per op*.  The parent replays the logs with ``np.add.at``
 (unbuffered, element-order-sequential) interleaved as
 
     for op in ops: for shard in ascending order: replay(log[shard][op])
 
 Ascending contiguous shards of the inner axis, walked op-major, is
-*exactly* the serial backend's iteration order — so the sharded result
-is **bit-identical to the unsharded serial result for every shard
-count and every worker count**, including the in-process ``workers=1``
-degenerate pool (which runs the same record/replay path).
+*exactly* the row-major scatter order of the single-process batch
+kernel — so the sharded result is **bit-identical to the unsharded
+``vectorized`` result for every shard count, worker count and
+``backend``** (the back end only picks the engine of the pre-pass, an
+integer max), including the in-process ``workers=1`` degenerate pool,
+which runs the same log/replay path.
 
 Fault model: a shard that dies with the pool (worker killed, e.g. OOM)
 surfaces as :class:`ShardExecutionError` — an ``OSError`` subclass, so
@@ -41,25 +43,24 @@ through ``on_shard`` so the PR 4 monitor can heartbeat per shard.
 from __future__ import annotations
 
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import geom_cache as _gc
-from repro.core.binmd import _bin_events_element
+from repro.core.binmd import binmd_deposits
 from repro.core.geom_cache import GeomCache, GeomEntry
+from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.core.intersections import (
     detector_activity,
-    fill_crossings_scalar,
     k_window,
     trajectory_directions,
 )
-from repro.core.mdnorm import _Scratch, _mdnorm_element, max_intersections
+from repro.core.mdnorm import max_intersections, mdnorm_deposits
 from repro.jacc.kernels import Captures
 from repro.jacc.multiproc import (
-    RecordingHist3,
     _close_worker_shm,
     _open_captures,
     _Transport,
@@ -68,7 +69,6 @@ from repro.jacc.multiproc import (
 from repro.jacc.workers import GLOBAL_POOL, PROCS_ENV, parse_worker_count, resolve_workers
 from repro.mpi.decomposition import (
     lazy_table_ranges,
-    range_stored_nbytes,
     shard_ranges,
     weighted_shard_ranges,
 )
@@ -104,18 +104,18 @@ class ShardConfig:
     n_shards:
         Number of contiguous shards to cut the inner axis into
         (detectors for MDNorm, events for BinMD).  ``1`` still runs
-        the shard machinery (record + replay) — results are identical
+        the shard machinery (log + replay) — results are identical
         for every value, only the fan-out width changes.
     workers:
         Process-pool size; ``None`` resolves ``REPRO_NUM_PROCS`` /
         the CPU count (validated by the shared parser).  ``1`` executes
-        the shards in-process through the same record/replay path.
+        the shards in-process through the same log/replay path.
     balanced:
         Cut MDNorm's detector axis by per-detector *work* (live
         trajectories from :func:`repro.core.intersections.
         detector_activity`) instead of by count.  Shard boundaries
-        never change the result — the replay is serial-order either
-        way — only how evenly the fan-out loads the pool.
+        never change the result — the replay is in kernel order
+        either way — only how evenly the fan-out loads the pool.
     """
 
     n_shards: int
@@ -149,166 +149,34 @@ class ShardConfig:
 # worker side (module-level: picklable under any start method)
 # ---------------------------------------------------------------------------
 
-def _shard_body(task: Dict[str, Any], ctx: Captures,
-                rec: RecordingHist3) -> List[Log]:
-    element = task["element"]
-    n_outer = int(task["n_outer"])
+def _shard_body(task: Dict[str, Any], ctx: Captures) -> List[Log]:
+    """One shard's deposit logs: the kernel's batch deposit function
+    (``task["element"]``) once per op over the shard's index range."""
+    deposit = task["element"]
     a, b = task["range"]
     window = task.get("window")
     if window is not None:
         # out-of-core shard: the events capture is this shard's bounded
-        # window, iterated with *local* indices.  The element body reads
-        # ``ctx.events[j, COL_*]`` only, so local (0, b-a) iteration over
-        # the window produces deposit logs bit-identical to global
-        # (a, b) iteration over the full table.
+        # window, addressed with *local* indices — the same rows as the
+        # global (a, b) range of the full table, so the same logs
         ctx = Captures(**{**vars(ctx), "events": window})
         a, b = 0, int(window.shape[0])
-    logs: List[Log] = []
-    for n in range(n_outer):
-        for j in range(a, b):
-            element(ctx, n, j)
-        logs.append(rec.harvest_reset())
-    return logs
+    return [deposit(ctx, n, a, b) for n in range(int(task["n_outer"]))]
 
 
 def _shard_worker(task: Dict[str, Any]) -> List[Log]:
-    """Run one shard's (ops × index-range) element loop in a worker."""
+    """Run one shard's deposit logs in a pool worker."""
     ref = task.get("window_ref")
     if ref is not None:
         # shard-parallel I/O: each worker decodes only its own chunks,
         # straight from the file — the table never exists in any process
         task = dict(task, window=read_window(*ref))
-    ctx, opened, hists = _open_captures(task["captures"])
+    ctx, opened, _ = _open_captures(task["captures"])
     try:
-        return _shard_body(task, ctx, hists["hist"])
+        return _shard_body(task, ctx)
     finally:
         ctx = None  # noqa: F841 - drop shm views before closing buffers
         _close_worker_shm(opened)
-
-
-# ---------------------------------------------------------------------------
-# the executor core
-# ---------------------------------------------------------------------------
-
-def _run_shards(
-    op_name: str,
-    captures: Captures,
-    element: Callable[..., Any],
-    n_outer: int,
-    n_inner: int,
-    shards: ShardConfig,
-    *,
-    run: Optional[int] = None,
-    on_shard: Optional[Callable[[int, int], None]] = None,
-    weights: Optional[np.ndarray] = None,
-    ranges: Optional[List[Tuple[int, int]]] = None,
-    lazy_events: Optional[LazyEventTable] = None,
-) -> None:
-    """Execute ``element`` over ``(n_outer, n_inner)`` as contiguous
-    inner-axis shards, then replay the op-segmented deposit logs in
-    serial order into ``captures.hist``.  ``weights`` (one per inner
-    item) switches the cut to work-balanced boundaries; explicit
-    ``ranges`` (chunk-aligned, possibly more than ``shards.n_shards``)
-    override both.  With ``lazy_events`` the captures carry no event
-    table: each shard materializes only its own bounded window — via
-    the parent's budgeted tile cache in-process, or by decoding its own
-    chunks from the file in pool workers."""
-    hist = captures.hist
-    if ranges is None:
-        if weights is not None:
-            ranges = weighted_shard_ranges(weights, shards.n_shards)
-        else:
-            ranges = shard_ranges(n_inner, shards.n_shards)
-    n_ranges = len(ranges)
-    workers = shards.effective_workers
-    tracer = _trace.active_tracer()
-    track_errors = getattr(hist, "flat_error_sq", None) is not None
-    fault_site = f"shard.{op_name}"
-    cancel = _cancel.current_cancel()
-
-    with tracer.span(
-        f"{op_name}.shards",
-        kind="shard_fanout",
-        op=op_name,
-        n_shards=int(n_ranges),
-        workers=int(workers),
-        n_outer=int(n_outer),
-        n_inner=int(n_inner),
-        **({"run": int(run)} if run is not None else {}),
-    ):
-        per_shard: List[List[Log]] = []
-        if workers == 1:
-            # in-process degenerate pool: same record/replay path, no IPC
-            rec = RecordingHist3(hist.grid, track_errors)
-            inline_ctx = Captures(**{**vars(captures), "hist": rec})
-            for s, (a, b) in enumerate(ranges):
-                if cancel is not None:
-                    # between shards: deposits so far are discarded and
-                    # the whole run recomputes on resume (bit-identical)
-                    cancel.check(f"{op_name} shard fan-out")
-                with tracer.span(
-                    f"shard:{op_name}", kind="shard", shard=int(s),
-                    lanes=int(n_outer * (b - a)),
-                ):
-                    _faults.fault_point(fault_site, shard=s, run=run)
-                    task = dict(element=element, n_outer=n_outer, range=(a, b))
-                    if lazy_events is not None:
-                        # bounded window through the run's LRU tile cache
-                        task["window"] = lazy_events.window(a, b)
-                    per_shard.append(_shard_body(task, inline_ctx, rec))
-                if on_shard is not None:
-                    on_shard(s, n_ranges)
-        else:
-            # the pooled path checks once before dispatch: cancelling
-            # mid-collection would tear down the shared transport while
-            # workers still map it, so in-flight shards run to completion
-            if cancel is not None:
-                cancel.check(f"{op_name} shard fan-out")
-            transport = _Transport(captures)
-            try:
-                tasks = [
-                    dict(
-                        element=element,
-                        n_outer=n_outer,
-                        range=(a, b),
-                        captures=transport.payload,
-                        **(
-                            {"window_ref": (
-                                lazy_events.path, lazy_events.dataset_path, a, b
-                            )}
-                            if lazy_events is not None
-                            else {}
-                        ),
-                    )
-                    for a, b in ranges
-                ]
-                try:
-                    pool = GLOBAL_POOL.executor(workers)
-                    futures = [pool.submit(_shard_worker, t) for t in tasks]
-                    for s, future in enumerate(futures):
-                        with tracer.span(
-                            f"shard:{op_name}", kind="shard", shard=int(s),
-                            lanes=int(n_outer * (ranges[s][1] - ranges[s][0])),
-                        ):
-                            _faults.fault_point(fault_site, shard=s, run=run)
-                            per_shard.append(future.result())
-                        if on_shard is not None:
-                            on_shard(s, n_ranges)
-                except BrokenProcessPool as exc:
-                    GLOBAL_POOL.dispose()
-                    raise ShardExecutionError(
-                        f"shard pool broke during {op_name} "
-                        f"(run={run}, shards={shards.n_shards}); pool disposed"
-                    ) from exc
-            finally:
-                transport.close()
-
-        # serial-order replay: op-major, ascending contiguous shards —
-        # exactly the unsharded serial iteration order, so the per-bin
-        # float fold is bit-identical to the serial back end.
-        for n in range(n_outer):
-            replay_deposits(hist, [logs[n] for logs in per_shard])
-        tracer.count(f"{op_name}.shard_tasks", len(ranges))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +185,52 @@ def _run_shards(
 # repro.mpi.stealing)
 # ---------------------------------------------------------------------------
 
+@dataclass
+class ShardContext:
+    """Everything needed to execute any planned range of one run-stage.
+
+    ``hist`` is the *target* scratch histogram: executing a range never
+    touches it (ranges return deposit logs), only
+    :func:`replay_shard_logs` folds the logs into it — in planned-index
+    order, which is what makes results independent of which rank
+    executed which range, in what order.  The captures are read-only
+    kernel inputs, safe to share across rank threads.
+    """
+
+    op_name: str
+    hist: Hist3
+    captures: Captures
+    #: the kernel's batch deposit function, ``deposit(ctx, n, a, b)``
+    deposit: Callable[..., Log]
+    n_outer: int
+    #: planned contiguous ranges of the inner axis (index = planned id)
+    ranges: List[Tuple[int, int]]
+    lazy_events: Optional[LazyEventTable] = None
+
+    @property
+    def n_ranges(self) -> int:
+        return len(self.ranges)
+
+    @property
+    def n_inner(self) -> int:
+        return self.ranges[-1][1] if self.ranges else 0
+
+    def task(self, index: int, **extra: Any) -> Dict[str, Any]:
+        """The shard-body task of one planned range."""
+        a, b = self.ranges[index]
+        return dict(element=self.deposit, n_outer=self.n_outer, range=(a, b),
+                    **extra)
+
+    def window_ref(self, index: int) -> Optional[Tuple[str, str, int, int]]:
+        """:func:`read_window` arguments of a lazy range, else None."""
+        if self.lazy_events is None:
+            return None
+        a, b = self.ranges[index]
+        return (self.lazy_events.path, self.lazy_events.dataset_path, a, b)
+
+
 def _mdnorm_captures(
-    hist: Hist3,
+    grid: HKLGrid,
     transforms: np.ndarray,
     det_directions: np.ndarray,
     solid_angles: np.ndarray,
@@ -331,15 +243,15 @@ def _mdnorm_captures(
     cache_tag: Optional[str],
     op_span: Any = None,
 ) -> Captures:
-    """MDNorm's geometry stage (cache-aware) packed into kernel captures.
+    """MDNorm's geometry stage (cache-aware) packed into the captures of
+    :func:`~repro.core.mdnorm.mdnorm_deposits`.
 
-    Shared by the static fan-out and the shard-context planner so warm
+    Shared by the static fan-out and the stealing executor so warm
     reruns skip the geometry work identically on every executor.  The
     pre-pass ``width`` is an integer max (exactly associative), so the
-    captures — and everything recorded through them — are bitwise
+    captures — and every log computed from them — are bitwise
     independent of the ``backend`` used to compute it.
     """
-    grid = hist.grid
     cache = _gc.resolve(cache)
     tracer = _trace.active_tracer()
     entry: Optional[GeomEntry] = None
@@ -395,7 +307,6 @@ def _mdnorm_captures(
             ))
 
     return Captures(
-        hist=hist,
         grid=grid,
         directions=directions,
         k_lo=k_lo,
@@ -404,42 +315,8 @@ def _mdnorm_captures(
         charge=float(charge),
         flux_k=flux_k,
         flux_cum=flux_cum,
-        scratch=_Scratch(width),
-        fill=fill_crossings_scalar,
+        width=int(width),
     )
-
-
-@dataclass
-class ShardContext:
-    """Everything needed to execute any planned range of one run-stage.
-
-    ``captures.hist`` is the *target* scratch histogram: executing a
-    range never touches it (ranges record deposit logs), only
-    :func:`replay_shard_logs` folds the logs into it — in planned-index
-    order, which is what makes results independent of which rank
-    executed which range, in what order.  The captures are safe to
-    share across rank threads: per-execution recording histograms are
-    fresh, and mdnorm's ``_Scratch`` buffers are thread-local.
-    """
-
-    op_name: str
-    captures: Captures
-    element: Callable[..., Any]
-    n_outer: int
-    #: planned contiguous ranges of the inner axis (index = planned id)
-    ranges: List[Tuple[int, int]]
-    #: per-range work estimate: stored chunk bytes for lazy event
-    #: tables (the PR 6 index), row counts otherwise
-    weights: List[float] = field(default_factory=list)
-    lazy_events: Optional[LazyEventTable] = None
-
-    @property
-    def n_ranges(self) -> int:
-        return len(self.ranges)
-
-    @property
-    def track_errors(self) -> bool:
-        return getattr(self.captures.hist, "flat_error_sq", None) is not None
 
 
 def mdnorm_shard_context(
@@ -455,23 +332,28 @@ def mdnorm_shard_context(
     backend: Optional[str] = None,
     cache: Optional[GeomCache] = None,
     cache_tag: Optional[str] = None,
+    balanced: bool = False,
+    op_span: Any = None,
 ) -> ShardContext:
-    """Plan one run's MDNorm as detector-range shard tasks."""
+    """Plan one run's MDNorm as detector-range shard tasks
+    (``balanced`` cuts by per-detector work, see :class:`ShardConfig`)."""
     transforms = np.asarray(transforms, dtype=np.float64)
     det_directions = np.asarray(det_directions, dtype=np.float64)
     solid_angles = np.asarray(solid_angles, dtype=np.float64)
     require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
             "transforms must be (n_ops, 3, 3)")
     captures = _mdnorm_captures(
-        hist, transforms, det_directions, solid_angles, flux, momentum_band,
-        charge=charge, backend=backend, cache=cache, cache_tag=cache_tag,
+        hist.grid, transforms, det_directions, solid_angles, flux,
+        momentum_band, charge=charge, backend=backend, cache=cache,
+        cache_tag=cache_tag, op_span=op_span,
     )
-    n_ops = int(transforms.shape[0])
-    n_det = int(det_directions.shape[0])
-    ranges = shard_ranges(n_det, n_shards)
-    weights = [float(n_ops * (b - a)) for a, b in ranges]
-    return ShardContext("mdnorm", captures, _mdnorm_element, n_ops,
-                        ranges, weights)
+    if balanced:
+        ranges = weighted_shard_ranges(
+            detector_activity(captures.k_lo, captures.k_hi), n_shards)
+    else:
+        ranges = shard_ranges(int(det_directions.shape[0]), n_shards)
+    return ShardContext("mdnorm", hist, captures, mdnorm_deposits,
+                        int(transforms.shape[0]), ranges)
 
 
 def binmd_shard_context(
@@ -483,28 +365,135 @@ def binmd_shard_context(
 ) -> ShardContext:
     """Plan one run's BinMD as event-range shard tasks.
 
-    Lazy tables plan chunk-aligned, budget-capped ranges weighted by
+    Lazy tables plan chunk-aligned, budget-capped ranges balanced by
     stored chunk bytes (:func:`repro.mpi.decomposition.lazy_table_ranges`)
-    — the same plan the static executor uses.
+    and carry no event table: each range reads only its own window.
     """
-    lazy = isinstance(events, LazyEventTable)
     transforms = np.asarray(transforms, dtype=np.float64)
     require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
             "transforms must be (n_ops, 3, 3)")
     n_ops = int(transforms.shape[0])
-    if lazy:
-        ranges = lazy_table_ranges(events, n_shards)
-        weights = range_stored_nbytes(events, ranges)
-        captures = Captures(hist=hist, transforms=transforms)
-        return ShardContext("binmd", captures, _bin_events_element, n_ops,
-                            ranges, weights, lazy_events=events)
+    captures = Captures(grid=hist.grid, transforms=transforms,
+                        track_errors=hist.flat_error_sq is not None)
+    if isinstance(events, LazyEventTable):
+        return ShardContext("binmd", hist, captures, binmd_deposits, n_ops,
+                            lazy_table_ranges(events, n_shards),
+                            lazy_events=events)
     data = events.data if isinstance(events, EventTable) else np.asarray(events)
-    n_events = int(data.shape[0])
-    ranges = shard_ranges(n_events, n_shards)
-    weights = [float(n_ops * (b - a)) for a, b in ranges]
-    captures = Captures(hist=hist, events=data, transforms=transforms)
-    return ShardContext("binmd", captures, _bin_events_element, n_ops,
-                        ranges, weights)
+    captures.events = data
+    return ShardContext("binmd", hist, captures, binmd_deposits, n_ops,
+                        shard_ranges(int(data.shape[0]), n_shards))
+
+
+def replay_shard_logs(
+    ctx: ShardContext, per_range: Sequence[List[Log]]
+) -> None:
+    """Fold per-range deposit logs into ``ctx.hist`` op-major, planned
+    ranges ascending — the single-process batch kernel's scatter order,
+    so the result is bit-identical to the unsharded ``vectorized``
+    kernel regardless of who executed what."""
+    require(len(per_range) == ctx.n_ranges,
+            f"{ctx.op_name}: {len(per_range)} log sets for "
+            f"{ctx.n_ranges} planned ranges")
+    for n in range(ctx.n_outer):
+        replay_deposits(ctx.hist, [logs[n] for logs in per_range])
+
+
+def _broken_pool(ctx: ShardContext, run: Optional[int],
+                 exc: BrokenProcessPool) -> ShardExecutionError:
+    GLOBAL_POOL.dispose()
+    return ShardExecutionError(
+        f"shard pool broke during {ctx.op_name} "
+        f"(run={run}, shards={ctx.n_ranges}); pool disposed"
+    )
+
+
+# ---------------------------------------------------------------------------
+# executors
+# ---------------------------------------------------------------------------
+
+def _run_shards(
+    ctx: ShardContext,
+    workers: int,
+    *,
+    run: Optional[int] = None,
+    on_shard: Optional[Callable[[int, int], None]] = None,
+) -> None:
+    """The static fan-out: execute every planned range of ``ctx`` on
+    ``workers`` processes, then replay the logs into ``ctx.hist``.
+
+    In-process (``workers == 1``) lazy ranges read their window through
+    the run's budgeted tile cache; pool workers decode their own chunks
+    from the file."""
+    op_name = ctx.op_name
+    n_ranges = ctx.n_ranges
+    tracer = _trace.active_tracer()
+    fault_site = f"shard.{op_name}"
+    cancel = _cancel.current_cancel()
+
+    with tracer.span(
+        f"{op_name}.shards",
+        kind="shard_fanout",
+        op=op_name,
+        n_shards=int(n_ranges),
+        workers=int(workers),
+        n_outer=int(ctx.n_outer),
+        n_inner=int(ctx.n_inner),
+        exec_mode="batch",
+        **({"run": int(run)} if run is not None else {}),
+    ):
+        def shard_span(s: int):
+            a, b = ctx.ranges[s]
+            return tracer.span(
+                f"shard:{op_name}", kind="shard", shard=int(s),
+                lanes=int(ctx.n_outer * (b - a)), exec_mode="batch",
+            )
+
+        per_shard: List[List[Log]] = []
+        if workers == 1:
+            # in-process degenerate pool: same log/replay path, no IPC
+            for s, (a, b) in enumerate(ctx.ranges):
+                if cancel is not None:
+                    # between shards: deposits so far are discarded and
+                    # the whole run recomputes on resume (bit-identical)
+                    cancel.check(f"{op_name} shard fan-out")
+                with shard_span(s):
+                    _faults.fault_point(fault_site, shard=s, run=run)
+                    task = ctx.task(s)
+                    if ctx.lazy_events is not None:
+                        # bounded window through the run's LRU tile cache
+                        task["window"] = ctx.lazy_events.window(a, b)
+                    per_shard.append(_shard_body(task, ctx.captures))
+                if on_shard is not None:
+                    on_shard(s, n_ranges)
+        else:
+            # the pooled path checks once before dispatch: cancelling
+            # mid-collection would tear down the shared transport while
+            # workers still map it, so in-flight shards run to completion
+            if cancel is not None:
+                cancel.check(f"{op_name} shard fan-out")
+            transport = _Transport(ctx.captures)
+            try:
+                pool = GLOBAL_POOL.executor(workers)
+                futures = [
+                    pool.submit(_shard_worker, ctx.task(
+                        s, captures=transport.payload,
+                        window_ref=ctx.window_ref(s)))
+                    for s in range(n_ranges)
+                ]
+                for s, future in enumerate(futures):
+                    with shard_span(s):
+                        _faults.fault_point(fault_site, shard=s, run=run)
+                        per_shard.append(future.result())
+                    if on_shard is not None:
+                        on_shard(s, n_ranges)
+            except BrokenProcessPool as exc:
+                raise _broken_pool(ctx, run, exc) from exc
+            finally:
+                transport.close()
+
+        replay_shard_logs(ctx, per_shard)
+        tracer.count(f"{op_name}.shard_tasks", n_ranges)
 
 
 def execute_shard_range(
@@ -526,56 +515,21 @@ def execute_shard_range(
     (:func:`repro.nexus.tiles.read_window`) in both paths, so
     concurrent rank threads never contend on a shared tile cache.
     """
-    a, b = ctx.ranges[index]
+    ref = ctx.window_ref(index)
     if workers == 1:
-        rec = RecordingHist3(ctx.captures.hist.grid, ctx.track_errors)
-        inline_ctx = Captures(**{**vars(ctx.captures), "hist": rec})
-        task = dict(element=ctx.element, n_outer=ctx.n_outer, range=(a, b))
-        if ctx.lazy_events is not None:
-            task["window"] = read_window(
-                ctx.lazy_events.path, ctx.lazy_events.dataset_path, a, b
-            )
-        return _shard_body(task, inline_ctx, rec)
+        task = ctx.task(index)
+        if ref is not None:
+            task["window"] = read_window(*ref)
+        return _shard_body(task, ctx.captures)
     transport = _Transport(ctx.captures)
     try:
-        task = dict(
-            element=ctx.element,
-            n_outer=ctx.n_outer,
-            range=(a, b),
-            captures=transport.payload,
-            **(
-                {"window_ref": (
-                    ctx.lazy_events.path, ctx.lazy_events.dataset_path, a, b
-                )}
-                if ctx.lazy_events is not None
-                else {}
-            ),
-        )
-        try:
-            pool = GLOBAL_POOL.executor(workers)
-            return pool.submit(_shard_worker, task).result()
-        except BrokenProcessPool as exc:
-            GLOBAL_POOL.dispose()
-            raise ShardExecutionError(
-                f"shard pool broke during {ctx.op_name} "
-                f"(run={run}, range={index}); pool disposed"
-            ) from exc
+        pool = GLOBAL_POOL.executor(workers)
+        return pool.submit(_shard_worker, ctx.task(
+            index, captures=transport.payload, window_ref=ref)).result()
+    except BrokenProcessPool as exc:
+        raise _broken_pool(ctx, run, exc) from exc
     finally:
         transport.close()
-
-
-def replay_shard_logs(
-    ctx: ShardContext, per_range: Sequence[List[Log]]
-) -> None:
-    """Fold per-range deposit logs into ``ctx.captures.hist`` in serial
-    order (op-major, planned ranges ascending) — the same interleave as
-    :func:`_run_shards`, so the result is bit-identical to a serial
-    execution of the whole run-stage regardless of who executed what."""
-    require(len(per_range) == ctx.n_ranges,
-            f"{ctx.op_name}: {len(per_range)} log sets for "
-            f"{ctx.n_ranges} planned ranges")
-    for n in range(ctx.n_outer):
-        replay_deposits(ctx.captures.hist, [logs[n] for logs in per_range])
 
 
 # ---------------------------------------------------------------------------
@@ -603,17 +557,16 @@ def sharded_mdnorm(
     Same contract as :func:`repro.core.mdnorm.mdnorm` (accumulates into
     ``hist`` in place) executed as ``shards.n_shards`` detector-range
     tasks; the result is bit-identical to ``mdnorm(..., backend=
-    "serial")`` for every shard/worker count (see the module
-    docstring).  The PR 1 geometry cache is consulted parent-side for
-    trajectory directions / momentum windows / the pre-pass width, so
-    warm reruns skip the geometry stage exactly as the unsharded path
-    does (per-shard tasks themselves never touch the cache).
+    "vectorized")`` for every shard/worker count and every ``backend``
+    (see the module docstring).  The geometry cache is consulted
+    parent-side for trajectory directions / momentum windows / the
+    pre-pass width, so warm reruns skip the geometry stage exactly as
+    the unsharded path does (per-shard tasks themselves never touch the
+    cache).
     """
     transforms = np.asarray(transforms, dtype=np.float64)
     det_directions = np.asarray(det_directions, dtype=np.float64)
     solid_angles = np.asarray(solid_angles, dtype=np.float64)
-    require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
-            "transforms must be (n_ops, 3, 3)")
     require(det_directions.ndim == 2 and det_directions.shape[1] == 3,
             "det_directions must be (n_det, 3)")
     require(solid_angles.shape == (det_directions.shape[0],),
@@ -628,18 +581,13 @@ def sharded_mdnorm(
         n_det=int(det_directions.shape[0]),
         n_shards=int(shards.n_shards),
     ) as op_span:
-        captures = _mdnorm_captures(
+        ctx = mdnorm_shard_context(
             hist, transforms, det_directions, solid_angles, flux,
-            momentum_band, charge=charge, backend=backend, cache=cache,
-            cache_tag=cache_tag, op_span=op_span,
+            momentum_band, n_shards=shards.n_shards, charge=charge,
+            backend=backend, cache=cache, cache_tag=cache_tag,
+            balanced=shards.balanced, op_span=op_span,
         )
-        _run_shards(
-            "mdnorm", captures, _mdnorm_element,
-            int(transforms.shape[0]), int(det_directions.shape[0]),
-            shards, run=run, on_shard=on_shard,
-            weights=(detector_activity(captures.k_lo, captures.k_hi)
-                     if shards.balanced else None),
-        )
+        _run_shards(ctx, shards.effective_workers, run=run, on_shard=on_shard)
         tracer.count("mdnorm.trajectories",
                       int(transforms.shape[0]) * int(det_directions.shape[0]))
     return hist
@@ -659,7 +607,7 @@ def sharded_binmd(
     Same contract as :func:`repro.core.binmd.bin_events`; contiguous
     event ranges are balanced by construction (events are the unit of
     work), and the op-segmented replay makes the result bit-identical
-    to ``bin_events(..., backend="serial")`` for every shard/worker
+    to ``bin_events(..., backend="vectorized")`` for every shard/worker
     count.
 
     With a :class:`~repro.nexus.tiles.LazyEventTable` the run executes
@@ -668,53 +616,32 @@ def sharded_binmd(
     bytes, capped so no window decodes more rows than the table's
     memory budget), and each shard materializes only its own window —
     via the run's tile cache in-process, or by decoding its own chunks
-    from the file in pool workers.  Because the element body iterates a
-    window with local indices, the deposit logs — and therefore the
-    replayed histogram — stay bit-identical to the in-memory path for
-    every chunk size, codec, budget, shard count and worker count.
+    from the file in pool workers.  A window holds the same rows as the
+    global range, so the deposit logs — and therefore the replayed
+    histogram — stay bit-identical to the in-memory path for every
+    chunk size, codec, budget, shard count and worker count.
     """
-    lazy = isinstance(events, LazyEventTable)
-    transforms = np.asarray(transforms, dtype=np.float64)
-    require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
-            "transforms must be (n_ops, 3, 3)")
-    if lazy:
-        data = None
-        n_events = events.n_events
-        ranges = lazy_table_ranges(events, shards.n_shards)
-    else:
-        data = events.data if isinstance(events, EventTable) else np.asarray(events)
-        n_events = int(data.shape[0])
-        ranges = None
+    ctx = binmd_shard_context(hist, events, transforms, n_shards=shards.n_shards)
+    n_ops, n_events = ctx.n_outer, ctx.n_inner
 
     tracer = _trace.active_tracer()
     with tracer.span(
         "binmd",
         kind="op",
         backend="sharded",
-        n_ops=int(transforms.shape[0]),
+        n_ops=int(n_ops),
         n_events=int(n_events),
-        n_shards=int(len(ranges) if ranges is not None else shards.n_shards),
-        out_of_core=bool(lazy),
+        n_shards=int(ctx.n_ranges),
+        out_of_core=ctx.lazy_events is not None,
     ) as op_span:
         if tracer.profile:
             from repro.util.perf import binmd_work
 
             op_span.set(perf=binmd_work(
-                int(transforms.shape[0]), int(n_events),
+                int(n_ops), int(n_events),
                 track_errors=hist.flat_error_sq is not None,
                 cache_hit=False,
             ))
-        if lazy:
-            captures = Captures(hist=hist, transforms=transforms)
-        else:
-            captures = Captures(hist=hist, events=data, transforms=transforms)
-        _run_shards(
-            "binmd", captures, _bin_events_element,
-            int(transforms.shape[0]), int(n_events),
-            shards, run=run, on_shard=on_shard,
-            ranges=ranges,
-            lazy_events=events if lazy else None,
-        )
-        tracer.count("binmd.events",
-                      int(transforms.shape[0]) * int(n_events))
+        _run_shards(ctx, shards.effective_workers, run=run, on_shard=on_shard)
+        tracer.count("binmd.events", int(n_ops) * int(n_events))
     return hist

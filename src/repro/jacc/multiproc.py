@@ -83,7 +83,7 @@ _TREE_BYTE_BUDGET = 1 << 28
 
 
 # ---------------------------------------------------------------------------
-# deterministic building blocks (shared with the intra-run shard layer)
+# deterministic building blocks
 # ---------------------------------------------------------------------------
 
 def chunk_grid(total: int, n_chunks: int = DEFAULT_CHUNKS) -> List[Tuple[int, int]]:
@@ -201,16 +201,6 @@ class RecordingHist3:
         w = np.asarray(self._w, dtype=np.float64)
         e = np.asarray(self._e, dtype=np.float64) if self.track_errors else None
         return idx, w, e
-
-    def harvest_reset(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Harvest the log and clear it — the shard executor calls this
-        at every outer-index boundary to get op-segmented logs whose
-        interleaved replay reconstructs the serial deposit order."""
-        out = self.harvest()
-        self._idx = []
-        self._w = []
-        self._e = []
-        return out
 
 
 def replay_deposits(

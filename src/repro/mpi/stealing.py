@@ -16,21 +16,23 @@ execution exactly-once).
 Determinism argument (DESIGN.md §6h).  Execution order is deliberately
 chaotic — that is the point — so nothing numeric may depend on it:
 
-* a task never touches a histogram; it *records* deposit logs for its
-  planned contiguous range (:func:`repro.core.sharding.
-  execute_shard_range`), exactly as the static fan-out's shards do;
+* a task never touches a histogram; it runs the kernel's batch
+  deposit function over its planned contiguous range and returns the
+  deposit logs (:func:`repro.core.sharding.execute_shard_range`),
+  exactly as the static fan-out's shards do;
 * when the last task of a run reports, the run's logs are replayed
   **keyed by the shard's planned index** (op-major, planned ranges
   ascending — :func:`repro.core.sharding.replay_shard_logs`) into
   fresh per-run scratch histograms: each run's delta is therefore
-  bit-identical to a serial execution of that run, regardless of which
-  ranks executed which shards, in what order, with how many steals;
+  bit-identical to the unsharded ``vectorized`` kernels on that run,
+  regardless of which ranks executed which shards, in what order,
+  with how many steals, and of ``backend``;
 * the effective root folds the per-run deltas in **ascending run
   order** through the campaign loop's one fold
   (:class:`repro.core.cross_section.RunFold`), so for *every* steal
   schedule the result equals, bit for bit, a static campaign with the
-  same per-run deltas (the sharded or ``serial`` loop) on one rank, or
-  checkpointed/resumed on any number of ranks.
+  same per-run deltas (the sharded or unsharded ``vectorized`` loop)
+  on one rank, or checkpointed/resumed on any number of ranks.
 
 Everything per run that is not scheduling — load and UB check, the
 failure policy around an attempt, the resume/quarantine/done
@@ -144,6 +146,9 @@ class StealQueue:
         self._dropped: Set[Tuple[int, str, int]] = set()
         self._quarantined_runs: Set[int] = set()
         self._active: Set[int] = set()
+        #: ranks that left or died; a rank that has not joined yet is
+        #: not gone, so its planned work is not orphaned
+        self._gone: Set[int] = set()
         self.total = 0
         self.steals = 0
         self.adoptions = 0
@@ -158,6 +163,7 @@ class StealQueue:
         """Clean leave: the rank's remaining deque becomes orphan work."""
         with self._lock:
             self._active.discard(int(rank))
+            self._gone.add(int(rank))
 
     def release_rank(self, rank: int) -> None:
         """Crash/leave: requeue the rank's claimed tasks, deregister it.
@@ -172,6 +178,7 @@ class StealQueue:
                     del self._claimed[key]
                     self._pending.setdefault(task.owner, deque()).appendleft(task)
             self._active.discard(int(rank))
+            self._gone.add(int(rank))
 
     # -- intake -----------------------------------------------------------
     def add_task(self, task: StealTask) -> None:
@@ -234,7 +241,7 @@ class StealQueue:
         backstop that no schedule policy can veto."""
         with self._lock:
             for r in sorted(self._pending):
-                if r in self._active:
+                if r not in self._gone:
                     continue
                 dq = self._pending[r]
                 if dq:
@@ -352,11 +359,13 @@ def run_stealing_campaign(
     require(n_runs >= 1, "need at least one run")
     if binmd_impl is not None or mdnorm_impl is not None:
         raise ValidationError(
-            "the stealing executor records deposit logs through the shard "
+            "the stealing executor collects deposit logs through the shard "
             "machinery; kernel *_impl overrides are not stealable — use "
             "executor='static'"
         )
-    del sort_impl, scatter_impl  # record/replay path: scalar bodies only
+    # shard logs replay through np.add.at with the comb-sorted batch
+    # kernels; the unsharded kernels' sort/scatter options do not apply
+    del sort_impl, scatter_impl
     comm = comm or SequentialComm()
     cache = _gc.resolve(cache)
     shards = shards or ShardConfig(n_shards=1, workers=1)
@@ -887,12 +896,12 @@ def _maybe_finish_run(env: _ExecEnv, rank: int, run: int) -> None:
         attempts = state.run_attempts.get(run, 1)
 
     # ordered-deposit replay keyed by the planned index: the delta is
-    # bit-identical to a serial execution of this run no matter who
+    # bit-identical to the unsharded vectorized kernels no matter who
     # executed what, in what order
     replay_shard_logs(ctx_m, [logs_m[s] for s in range(ctx_m.n_ranges)])
     replay_shard_logs(ctx_b, [logs_b[s] for s in range(ctx_b.n_ranges)])
-    scratch_m = ctx_m.captures.hist
-    scratch_b = ctx_b.captures.hist
+    scratch_m = ctx_m.hist
+    scratch_b = ctx_b.hist
 
     with state.lock:
         state.deltas[run] = RunDelta(run, scratch_b.signal, scratch_b.error_sq,

@@ -497,12 +497,23 @@ class PerfModel:
 # shard fan-out attribution (PR 5: hierarchical intra-run sharding)
 # ---------------------------------------------------------------------------
 
-def shard_summary(records: Sequence[Dict[str, Any]]) -> Dict[str, Dict[str, float]]:
+def _shard_slot(out: Dict[str, Dict[str, Any]], op: str) -> Dict[str, Any]:
+    return out.setdefault(op, {
+        "fanouts": 0.0, "tasks": 0.0, "lanes": 0.0,
+        "fanout_seconds": 0.0, "shard_seconds": 0.0,
+        "max_shard_seconds": 0.0, "n_shards": 0.0, "workers": 0.0,
+        "exec_mode": "",
+    })
+
+
+def shard_summary(records: Sequence[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
     """Roll up the intra-run shard fan-out spans of a trace.
 
     ``kind="shard_fanout"`` spans (one per sharded MDNorm/BinMD call)
     and their child ``kind="shard"`` spans (one per shard task) are
-    attributed per op.  The interesting derived number is **balance**:
+    attributed per op, with the ``exec_mode`` the spans record (how
+    the shard bodies ran; ``batch`` = the kernel's vectorized deposit
+    function).  The interesting derived number is **balance**:
     mean shard seconds over max shard seconds within the trace — 1.0
     means the fan-out was perfectly even, values near ``1/n_shards``
     mean one straggler serialized the whole fan-out (exactly what the
@@ -512,36 +523,31 @@ def shard_summary(records: Sequence[Dict[str, Any]]) -> Dict[str, Dict[str, floa
     spans = [r for r in records if r.get("type", "span") == "span"
              and isinstance(r.get("attrs"), dict)]
     spans.sort(key=lambda r: r.get("seq", 0))
-    out: Dict[str, Dict[str, float]] = {}
+    out: Dict[str, Dict[str, Any]] = {}
     for rec in spans:
         attrs = rec["attrs"]
         kind = attrs.get("kind")
+        if kind not in ("shard_fanout", "shard"):
+            continue
         if kind == "shard_fanout":
             op = str(attrs.get("op", rec["name"]))
-            slot = out.setdefault(op, {
-                "fanouts": 0.0, "tasks": 0.0, "lanes": 0.0,
-                "fanout_seconds": 0.0, "shard_seconds": 0.0,
-                "max_shard_seconds": 0.0, "n_shards": 0.0, "workers": 0.0,
-            })
+            slot = _shard_slot(out, op)
             slot["fanouts"] += 1.0
             slot["fanout_seconds"] += float(rec.get("dur", 0.0))
             slot["n_shards"] = max(slot["n_shards"],
                                    float(attrs.get("n_shards", 0)))
             slot["workers"] = max(slot["workers"],
                                   float(attrs.get("workers", 0)))
-        elif kind == "shard":
+        else:
             # span name is "shard:<op>"
             op = str(rec["name"]).partition(":")[2] or str(rec["name"])
-            slot = out.setdefault(op, {
-                "fanouts": 0.0, "tasks": 0.0, "lanes": 0.0,
-                "fanout_seconds": 0.0, "shard_seconds": 0.0,
-                "max_shard_seconds": 0.0, "n_shards": 0.0, "workers": 0.0,
-            })
+            slot = _shard_slot(out, op)
             dur = float(rec.get("dur", 0.0))
             slot["tasks"] += 1.0
             slot["lanes"] += float(attrs.get("lanes", 0))
             slot["shard_seconds"] += dur
             slot["max_shard_seconds"] = max(slot["max_shard_seconds"], dur)
+        slot["exec_mode"] = str(attrs.get("exec_mode", slot["exec_mode"]))
     for slot in out.values():
         if slot["tasks"] > 0 and slot["max_shard_seconds"] > 0.0:
             mean = slot["shard_seconds"] / slot["tasks"]
@@ -551,7 +557,7 @@ def shard_summary(records: Sequence[Dict[str, Any]]) -> Dict[str, Dict[str, floa
     return dict(sorted(out.items()))
 
 
-def shard_table(summary: Dict[str, Dict[str, float]],
+def shard_table(summary: Dict[str, Dict[str, Any]],
                 *, title: str = "shard fan-out") -> str:
     """Plain-text table of :func:`shard_summary` (``repro perf report``)."""
     lines = [f"-- {title}"]
@@ -560,13 +566,15 @@ def shard_table(summary: Dict[str, Dict[str, float]],
         return "\n".join(lines)
     lines.append(f"  {'op':<10s} {'fanouts':>8s} {'tasks':>7s} "
                  f"{'lanes':>10s} {'fanout s':>10s} {'shard s':>9s} "
-                 f"{'balance':>8s} {'shards':>7s} {'workers':>8s}")
+                 f"{'balance':>8s} {'shards':>7s} {'workers':>8s} "
+                 f"{'exec':>6s}")
     for op, s in summary.items():
         lines.append(
             f"  {op:<10s} {int(s['fanouts']):>8d} {int(s['tasks']):>7d} "
             f"{_si(s['lanes']):>10s} {s['fanout_seconds']:>10.4f} "
             f"{s['shard_seconds']:>9.4f} {s['balance']:>8.3f} "
-            f"{int(s['n_shards']):>7d} {int(s['workers']):>8d}"
+            f"{int(s['n_shards']):>7d} {int(s['workers']):>8d} "
+            f"{s['exec_mode'] or '-':>6s}"
         )
     return "\n".join(lines)
 

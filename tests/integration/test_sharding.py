@@ -2,15 +2,18 @@
 
 The contract under test: intra-run sharding is an *execution* detail,
 never a *numerics* detail.  For the full Benzil-shaped pipeline the
-cross-section (and both of its factors) must be **bit-identical** —
-``np.array_equal(..., equal_nan=True)``, not allclose — across:
+cross-section (and both of its factors) must be **bit-identical** to
+the unsharded ``vectorized`` reduction —
+``np.array_equal(..., equal_nan=True)``, not allclose — whatever
+``backend`` the sharded run names, across:
 
 * shard counts 1, 2, 3, 7 (including shards > items axes);
 * worker counts (in-process degenerate pool vs real process pool);
 * count-balanced vs activity-balanced detector cuts;
 * streaming batch sizes, with sharded ``open_run`` normalization;
 * kill-one-shard + retry and checkpoint/resume, riding the PR 3
-  fault-plan machinery at the ``shard.mdnorm`` / ``shard.binmd`` sites.
+  fault-plan machinery at the ``shard.mdnorm`` / ``shard.binmd`` sites;
+* no shard path ever runs a kernel's per-element body.
 
 The recovering loop folds per-run scratch deltas (different float
 association than the fail-fast loop — a pre-existing, documented
@@ -91,8 +94,9 @@ def exp():
 
 @pytest.fixture(scope="module")
 def golden(exp):
-    """The unsharded serial cross-section every sharded run must match."""
-    return exp.compute()
+    """The unsharded vectorized cross-section every sharded run must
+    match."""
+    return exp.compute(backend="vectorized")
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +104,7 @@ def golden_recovering(exp):
     """The unsharded *recovering-loop* result (its scratch-delta fold
     re-associates floats relative to the fail-fast loop, so recovery
     cases get their own golden)."""
-    return exp.compute(recovery=RecoveryConfig())
+    return exp.compute(backend="vectorized", recovery=RecoveryConfig())
 
 
 def assert_identical(res, ref):
@@ -172,7 +176,8 @@ class TestShardedOps:
         traj, _ = self._transforms(exp, ws)
         ref = Hist3(exp.grid)
         mdnorm(ref, traj, exp.instrument.directions, exp.sa, exp.flux,
-               ws.momentum_band, charge=ws.proton_charge, backend="serial")
+               ws.momentum_band, charge=ws.proton_charge,
+               backend="vectorized")
         got = Hist3(exp.grid)
         sharded_mdnorm(
             got, traj, exp.instrument.directions, exp.sa, exp.flux,
@@ -186,7 +191,7 @@ class TestShardedOps:
         ws = exp.wss[2]
         _, ev = self._transforms(exp, ws)
         ref = Hist3(exp.grid, track_errors=True)
-        bin_events(ref, ws.events, ev, backend="serial")
+        bin_events(ref, ws.events, ev, backend="vectorized")
         got = Hist3(exp.grid, track_errors=True)
         sharded_binmd(got, ws.events, ev,
                       shards=ShardConfig(n_shards=n_shards, workers=1))
@@ -213,7 +218,7 @@ class TestShardedOps:
 class TestStreamingSharded:
     def _reduce(self, exp, *, shards=None, batch_size=128):
         sr = StreamingReduction(exp.grid, exp.pg, exp.flux, exp.instrument,
-                                exp.sa, backend="serial", shards=shards)
+                                exp.sa, backend="vectorized", shards=shards)
         for run in exp.runs:
             sr.open_run(run)
             for batch in EventStream(run, batch_size=batch_size):
@@ -420,3 +425,81 @@ class TestOutOfCoreInvariance:
                 shards=ShardConfig(n_shards=3, workers=1),
             )
         assert tracer.counters["binmd.shard_tasks"] == expected
+
+
+# ---------------------------------------------------------------------------
+# shard paths run the batch kernels: no per-element body, no recorder
+# ---------------------------------------------------------------------------
+
+def _no_element_push(*args, **kwargs):
+    raise AssertionError("a shard path ran a per-element kernel body")
+
+
+class TestShardsRunBatchKernels:
+    @pytest.fixture
+    def no_element_calls(self, monkeypatch):
+        """Element bodies deposit through ``push``; make every push
+        fail, in this process and in pool workers forked under the
+        patch (the pool is re-forked before and after)."""
+        from repro.jacc.multiproc import RecordingHist3
+
+        GLOBAL_POOL.dispose()
+        monkeypatch.setattr(RecordingHist3, "push", _no_element_push)
+        monkeypatch.setattr(Hist3, "push", _no_element_push)
+        yield
+        GLOBAL_POOL.dispose()
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_sharded(self, exp, golden, no_element_calls, workers):
+        res = exp.compute(shards=ShardConfig(n_shards=2, workers=workers))
+        assert_identical(res, golden)
+
+    def test_out_of_core_without_shards(self, exp, golden, no_element_calls,
+                                        tmp_path):
+        from repro.core.md_event_workspace import load_md, save_md
+
+        paths = []
+        for i, ws in enumerate(exp.wss):
+            paths.append(str(tmp_path / f"r{i}.md.h5"))
+            save_md(paths[-1], ws, chunk_events=64, codec="zlib")
+        res = exp.compute(
+            loader=lambda i: load_md(paths[i], memory_budget=2 * 64 * 8 * 8),
+            backend="vectorized",
+        )
+        assert_identical(res, golden)
+
+    def test_stealing_two_ranks(self, exp, golden, no_element_calls):
+        from repro.mpi import run_world
+
+        results = run_world(2, lambda comm: exp.compute(
+            comm=comm, executor="stealing",
+            shards=ShardConfig(n_shards=2, workers=1),
+        ), barrier_timeout=60.0)
+        roots = [r for r in results if r is not None
+                 and r.cross_section is not None]
+        assert len(roots) == 1
+        assert same(roots[0].cross_section.signal, golden.cross_section.signal)
+        assert np.array_equal(roots[0].binmd.signal, golden.binmd.signal)
+        assert np.array_equal(roots[0].mdnorm.signal, golden.mdnorm.signal)
+
+
+class TestShardObservability:
+    def test_shard_spans_record_batch_exec_mode(self, exp):
+        from repro.util import trace as trace_mod
+        from repro.util.perf import shard_summary, shard_table
+
+        tracer = trace_mod.Tracer()
+        with trace_mod.use_tracer(tracer):
+            exp.compute(shards=ShardConfig(n_shards=2, workers=1))
+        spans = [r for r in tracer.records
+                 if isinstance(r.get("attrs"), dict)
+                 and r["attrs"].get("kind") in ("shard_fanout", "shard")]
+        assert {r["name"] for r in spans} == {
+            "mdnorm.shards", "binmd.shards", "shard:mdnorm", "shard:binmd"}
+        assert all(r["attrs"]["exec_mode"] == "batch" for r in spans)
+        summary = shard_summary(tracer.records)
+        assert {op: s["exec_mode"] for op, s in summary.items()} == {
+            "binmd": "batch", "mdnorm": "batch"}
+        table = shard_table(summary).splitlines()
+        assert table[1].split()[-1] == "exec"
+        assert all(row.split()[-1] == "batch" for row in table[2:])

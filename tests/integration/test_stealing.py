@@ -3,7 +3,7 @@
 The elastic work-stealing executor's whole contract is that the steal
 schedule is **numerically invisible**: for any interleaving of steals,
 births, leaves and deaths the reduced histograms are bit-identical to
-the static recovering loop (the serial oracle).  This suite attacks
+the static recovering loop on the ``vectorized`` back end (the oracle).  This suite attacks
 that claim from every angle the ScheduleController can express:
 
 * a fuzz matrix — 50 seeds x {2, 3, 4} ranks, rotating through every
@@ -20,8 +20,8 @@ that claim from every angle the ScheduleController can express:
   ``completed=True`` steal span per planned ``(run, stage, shard)``
   cell, under chaos included;
 * the executor x back-end conformance sweep — the stealing result is
-  bit-identical to the serial-order oracle on *every* registered back
-  end (the record/replay path is scalar; back ends only accelerate
+  bit-identical to the oracle on *every* registered back end (shard
+  tasks run the batch deposit functions; back ends only accelerate
   the exact-integer pre-pass).
 
 Histogram note: the stealing executor always folds ``error_sq`` from
@@ -51,7 +51,7 @@ from repro.instruments.corelli import make_corelli
 from repro.instruments.synth import make_flux, make_vanadium, synthesize_run
 from repro.jacc import available_backends
 from repro.mpi import run_world
-from repro.mpi.stealing import run_stealing_campaign
+from repro.mpi.stealing import StealQueue, StealTask, run_stealing_campaign
 from repro.util import trace as trace_mod
 from repro.util.faults import (
     FaultPlan,
@@ -133,9 +133,11 @@ def exp(tmp_path_factory) -> StealExperiment:
 
 @pytest.fixture(scope="module")
 def golden(exp):
-    """The serial oracle: the static recovering loop, fault-free."""
+    """The oracle: the static recovering loop on the vectorized back
+    end, fault-free."""
     return compute_cross_section(
-        exp.loader, recovery=RecoveryConfig(retry=POLICY), **exp.kw()
+        exp.loader, recovery=RecoveryConfig(retry=POLICY),
+        backend="vectorized", **exp.kw()
     )
 
 
@@ -283,7 +285,7 @@ class TestStaticEquivalence:
 
 class TestFuzzMatrix:
     """50 seeds x {2, 3, 4} ranks, policies rotating — every campaign
-    bit-identical to the serial oracle, whatever got stolen."""
+    bit-identical to the oracle, whatever got stolen."""
 
     @pytest.mark.parametrize("size", SIZES)
     def test_fifty_seeds_bit_identical(self, exp, golden, steal_baseline,
@@ -472,15 +474,31 @@ class TestExactlyOnceAccounting:
             assert {"run", "shard", "owner", "exec_rank"} <= set(attrs)
 
 
+    def test_unjoined_rank_work_is_not_orphaned(self):
+        """A rank that has not joined the queue yet is not gone: its
+        planned work waits for it instead of being adopted as orphan
+        work, so every planned rank gets to start."""
+        q = StealQueue()
+        q.register_rank(0)
+        q.add_task(StealTask(run=1, stage="mdnorm", index=0, n_ranges=1,
+                             owner=1, weight=1.0))
+        assert q.claim_orphan(0) is None
+        assert q.remaining_weights(exclude=0) == {}  # nor stealable yet
+        q.register_rank(1)
+        q.release_rank(1)  # dies before claiming
+        assert q.claim_orphan(0).owner == 1
+        assert q.adoptions == 1
+
+
 # ---------------------------------------------------------------------------
 # executor x back-end conformance sweep
 # ---------------------------------------------------------------------------
 
 class TestExecutorBackendConformance:
-    """The stealing executor rides the back-end matrix: record/replay
-    runs the scalar element bodies, so the campaign is bit-identical to
-    the serial-order oracle on every registered back end (the back end
-    only accelerates the exact-integer intersection pre-pass)."""
+    """The stealing executor rides the back-end matrix: shard tasks run
+    the batch deposit functions, so the campaign is bit-identical to the
+    vectorized oracle on every registered back end (the back end only
+    accelerates the exact-integer intersection pre-pass)."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_bit_identical_under_random_schedules(

@@ -304,21 +304,26 @@ class TestFullPipelineOutOfCore:
             paths.append(p)
 
         def compute(loader, **kw):
-            kw.setdefault("backend", "serial")
+            kw.setdefault("backend", "vectorized")
             return compute_cross_section(
                 loader, len(wss), grid, pg, flux, inst.directions, sa, **kw)
 
         ref = compute(lambda i: wss[i])
         return dict(paths=paths, compute=compute, ref=ref)
 
-    @pytest.mark.parametrize("shards,workers", [(None, None), (3, 1), (2, 2)])
-    def test_cross_section_identical(self, exp, shards, workers):
+    @pytest.mark.parametrize("shards,workers,backend", [
+        (None, None, "vectorized"), (3, 1, "vectorized"), (2, 2, "vectorized"),
+        (2, 1, "serial"),
+    ])
+    def test_cross_section_identical(self, exp, shards, workers, backend):
+        """Equal to the in-memory unsharded vectorized reduction; with
+        shards, whatever ``backend`` names (it only runs the pre-pass)."""
         budget = 2 * 37 * ROW_BYTES
 
         def lazy_loader(i):
             return load_md(exp["paths"][i], memory_budget=budget)
 
-        kw = {}
+        kw = {"backend": backend}
         if shards is not None:
             kw["shards"] = ShardConfig(n_shards=shards, workers=workers)
         res = exp["compute"](lazy_loader, **kw)
