@@ -15,32 +15,37 @@ import time
 import numpy as np
 
 from repro.bench.workloads import benzil_corelli, build_workload
-from repro.jacc import Kernel, available_backends, parallel_for
-from repro.jacc.atomic import atomic_add
+from repro.core.grid import HKLGrid
+from repro.core.hist3 import Hist3
+from repro.jacc import BackendError, Kernel, available_backends, parallel_for
 from repro.jacc.kernels import make_captures
 from repro.proxy import MiniVatesConfig, MiniVatesWorkflow
 
 
 def radial_average_kernel() -> Kernel:
-    """Histogram every (H, K) bin's intensity by its radius |c|."""
+    """Histogram every (H, K) bin's intensity by its radius |c|.
+
+    Both bodies accumulate only through ``Hist3`` captures (the paper's
+    ``atomic_push!``): the threads and multiprocess back ends replay
+    each chunk's pushes in serial order, which is what keeps them
+    bit-identical to serial.  A plain ``sums[b] += value`` into a
+    shared array would race between chunks.
+    """
 
     def element(ctx, i):
         # one lane per flattened 2-D bin
         value = ctx.values[i]
         if value != value:  # NaN: bin had no normalization
             return
-        r = ctx.radii[i]
-        b = int(r / ctx.dr)
-        if b < ctx.n_radial:
-            ctx.sums[b] += value
-            ctx.counts[b] += 1.0
+        ctx.sums.push(ctx.radii[i], 0.0, 0.0, value)
+        ctx.counts.push(ctx.radii[i], 0.0, 0.0, 1.0)
 
     def batch(ctx, dims):
         good = ~np.isnan(ctx.values)
-        b = (ctx.radii / ctx.dr).astype(np.int64)
-        good &= b < ctx.n_radial
-        atomic_add(ctx.sums, b[good], ctx.values[good])
-        atomic_add(ctx.counts, b[good], 1.0)
+        coords = np.zeros((int(good.sum()), 3))
+        coords[:, 0] = ctx.radii[good]
+        ctx.sums.push_many(coords, ctx.values[good])
+        ctx.counts.push_many(coords, 1.0)
 
     return Kernel(name="radial_average", element=element, batch=batch)
 
@@ -68,28 +73,38 @@ def main() -> None:
     radii = np.sqrt(c0[:, None] ** 2 + c1[None, :] ** 2).ravel()
     values = cross.slice2d(axis=2, index=0).ravel()
     n_radial = 60
-    dr = float(radii.max() / n_radial) + 1e-12
+    # one radial axis; the other two are a single bin the pushes sit in
+    radial = HKLGrid(basis=np.eye(3), minimum=(0.0, -1.0, -1.0),
+                     maximum=(float(radii.max()) * (1 + 1e-9), 1.0, 1.0),
+                     bins=(n_radial, 1, 1))
+    dr = float(radial.widths[0])
 
     kernel = radial_average_kernel()
     profiles = {}
     for backend in available_backends():
-        sums = np.zeros(n_radial)
-        counts = np.zeros(n_radial)
-        captures = make_captures(
-            values=values, radii=radii, sums=sums, counts=counts,
-            dr=dr, n_radial=n_radial,
-        )
+        sums, counts = Hist3(radial), Hist3(radial)
+        captures = make_captures(values=values, radii=radii,
+                                 sums=sums, counts=counts)
         t0 = time.perf_counter()
-        parallel_for(values.shape[0], kernel, captures, backend=backend)
+        try:
+            parallel_for(values.shape[0], kernel, captures, backend=backend)
+        except BackendError as exc:
+            # e.g. a process pool cannot receive this closure kernel
+            profiles[backend] = (None, str(exc))
+            continue
         dt = time.perf_counter() - t0
         with np.errstate(invalid="ignore"):
-            profiles[backend] = (np.divide(sums, counts,
+            profiles[backend] = (np.divide(sums.signal.ravel(),
+                                           counts.signal.ravel(),
                                            out=np.full(n_radial, np.nan),
-                                           where=counts > 0), dt)
+                                           where=counts.signal.ravel() > 0), dt)
 
     reference, _ = profiles["serial"]
     print(f"{'back end':<12} {'WCT':>10}   result")
     for backend, (profile, dt) in profiles.items():
+        if profile is None:
+            print(f"{backend:<12} {'-':>10}   skipped: {dt}")
+            continue
         match = np.allclose(np.nan_to_num(profile), np.nan_to_num(reference))
         print(f"{backend:<12} {dt * 1e3:>8.2f}ms   "
               f"{'identical to serial' if match else 'MISMATCH'}")

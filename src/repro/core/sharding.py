@@ -60,12 +60,8 @@ from repro.core.intersections import (
 )
 from repro.core.mdnorm import max_intersections, mdnorm_deposits
 from repro.jacc.kernels import Captures
-from repro.jacc.multiproc import (
-    _close_worker_shm,
-    _open_captures,
-    _Transport,
-    replay_deposits,
-)
+from repro.jacc.chunked import replay_deposits
+from repro.jacc.multiproc import _close_worker_shm, _open_captures, _Transport
 from repro.jacc.workers import GLOBAL_POOL, PROCS_ENV, parse_worker_count, resolve_workers
 from repro.mpi.decomposition import (
     lazy_table_ranges,

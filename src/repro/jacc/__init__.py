@@ -9,13 +9,13 @@ execution engines available here:
 back end      execution model
 ============ =========================================================
 serial        interpreted per-element loop — the scalar-CPU reference
-threads       chunked per-element loops on a thread pool — the paper's
-              OpenMP ``collapse(2)`` analogue (coarse-grained CPU)
-multiprocess  fixed-grid chunks of the flattened index space on a
-              persistent process pool with shared-memory captures,
-              ordered deposit replay and a deterministic pairwise tree
-              reduction — CPU scale-out past the GIL (see
-              :mod:`repro.jacc.multiproc`)
+threads       fixed-grid chunks of the flattened index space on a
+              thread pool, ordered deposit replay and a deterministic
+              pairwise tree reduction — the paper's OpenMP
+              ``collapse(2)`` analogue (see :mod:`repro.jacc.chunked`)
+multiprocess  the same chunked engine on a persistent process pool
+              with shared-memory captures — CPU scale-out past the GIL
+              (see :mod:`repro.jacc.multiproc`)
 vectorized    whole-index-space NumPy array kernels — the data-parallel
               "device" stand-in for the CUDA/AMDGPU back ends
 ============ =========================================================

@@ -8,11 +8,12 @@ equivalents here:
   under duplicate indices, which is precisely the guarantee a device
   ``atomicAdd`` gives;
 * :func:`atomic_add_scalar` — the per-element form used inside scalar
-  kernel bodies (serial/threads back ends).  The threads back end keeps
-  correctness because CPython's GIL serializes the read-modify-write of
-  a single float64 element within one bytecode-level operation window;
-  we still route through this function so the access pattern is
-  explicit and auditable.
+  kernel bodies.  It is a plain read-modify-write, *not* atomic: no
+  two workers ever call it on the same array.  The serial back end is
+  single-threaded, and the chunked threads/multiprocess back ends give
+  every chunk its own deposit recorder and replay the logs in chunk
+  order (:mod:`repro.jacc.chunked`).  Routing through this function
+  keeps the access pattern explicit and auditable.
 """
 
 from __future__ import annotations

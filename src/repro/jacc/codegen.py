@@ -29,7 +29,7 @@ source module that
   and cold-pass plan collection exactly, so the geometry cache is
   shared transparently with every other back end.
 
-Determinism tier: ORDER_EXACT.  The emitted kernel performs the same
+Determinism: bit-identical.  The emitted kernel performs the same
 floating-point operations in the same order as
 ``repro.core.mdnorm._mdnorm_batch`` (same tiling, same row-major
 ``np.add.at`` / ``bincount`` deposit sequence), which is what lets the

@@ -29,7 +29,7 @@ perf`` rolls up alongside the JIT cache's ``compile_events`` (every
 specialization is also appended there so benchmarks can separate
 compile from execution time).
 
-Determinism: ORDER_EXACT — bit-identical to ``vectorized`` for every
+Determinism: bit-identical to ``vectorized`` for every
 kernel, proven by the conformance matrix and
 ``tests/integration/test_fused_pipeline.py``.
 """

@@ -34,42 +34,33 @@ class CompileEvent:
 
 
 _LOOP_TEMPLATES = {
-    # (ndim, ranged): source of the specialized loop nest
-    (1, False): (
+    # ndim: source of the specialized loop nest
+    1: (
         "def _loop(element, ctx, dims):\n"
         "    (n0,) = dims\n"
         "    for i0 in range(n0):\n"
         "        element(ctx, i0)\n"
     ),
-    (2, False): (
+    2: (
         "def _loop(element, ctx, dims):\n"
         "    n0, n1 = dims\n"
         "    for i0 in range(n0):\n"
         "        for i1 in range(n1):\n"
         "            element(ctx, i0, i1)\n"
     ),
-    (1, True): (
+}
+
+# Flat-ranged nests iterate a [start, stop) window of the *flattened*
+# row-major index space — the form the chunked CPU engines run, so a
+# chunk boundary can fall anywhere, not only on an outer row.  The 2-D
+# form recovers (i0, i1) by division exactly as CUDA recovers thread
+# coordinates from a linear thread id.
+_FLAT_LOOP_TEMPLATES = {
+    1: (
         "def _loop(element, ctx, dims, start, stop):\n"
         "    for i0 in range(start, stop):\n"
         "        element(ctx, i0)\n"
     ),
-    (2, True): (
-        "def _loop(element, ctx, dims, start, stop):\n"
-        "    n1 = dims[1]\n"
-        "    for i0 in range(start, stop):\n"
-        "        for i1 in range(n1):\n"
-        "            element(ctx, i0, i1)\n"
-    ),
-}
-
-# Flat-ranged nests iterate a [start, stop) window of the *flattened*
-# row-major index space — the form the multiprocess back end ships to
-# workers so a chunk boundary can fall anywhere, not only on an outer
-# row.  For 1-D spaces flat and ranged coincide; the 2-D form recovers
-# (i0, i1) by division exactly as CUDA recovers thread coordinates from
-# a linear thread id.
-_FLAT_LOOP_TEMPLATES = {
-    1: _LOOP_TEMPLATES[(1, True)],
     2: (
         "def _loop(element, ctx, dims, start, stop):\n"
         "    n1 = dims[1]\n"
@@ -80,14 +71,14 @@ _FLAT_LOOP_TEMPLATES = {
 }
 
 _REDUCE_TEMPLATES = {
-    (1, False): (
+    1: (
         "def _loop(element, ctx, dims, combine, acc):\n"
         "    (n0,) = dims\n"
         "    for i0 in range(n0):\n"
         "        acc = combine(acc, element(ctx, i0))\n"
         "    return acc\n"
     ),
-    (2, False): (
+    2: (
         "def _loop(element, ctx, dims, combine, acc):\n"
         "    n0, n1 = dims\n"
         "    for i0 in range(n0):\n"
@@ -95,24 +86,15 @@ _REDUCE_TEMPLATES = {
         "            acc = combine(acc, element(ctx, i0, i1))\n"
         "    return acc\n"
     ),
-    (1, True): (
+}
+
+_FLAT_REDUCE_TEMPLATES = {
+    1: (
         "def _loop(element, ctx, dims, combine, acc, start, stop):\n"
         "    for i0 in range(start, stop):\n"
         "        acc = combine(acc, element(ctx, i0))\n"
         "    return acc\n"
     ),
-    (2, True): (
-        "def _loop(element, ctx, dims, combine, acc, start, stop):\n"
-        "    n1 = dims[1]\n"
-        "    for i0 in range(start, stop):\n"
-        "        for i1 in range(n1):\n"
-        "            acc = combine(acc, element(ctx, i0, i1))\n"
-        "    return acc\n"
-    ),
-}
-
-_FLAT_REDUCE_TEMPLATES = {
-    1: _REDUCE_TEMPLATES[(1, True)],
     2: (
         "def _loop(element, ctx, dims, combine, acc, start, stop):\n"
         "    n1 = dims[1]\n"
@@ -149,22 +131,18 @@ class JITCache:
         )
         return fn
 
-    def loop_for(
-        self, kernel_name: str, backend: str, ndim: int, ranged: bool = False
-    ) -> Callable:
+    def loop_for(self, kernel_name: str, backend: str, ndim: int) -> Callable:
         """Specialized parallel_for loop nest for a kernel arity."""
-        variant = f"for{ndim}d{'r' if ranged else ''}"
+        variant = f"for{ndim}d"
         key = (kernel_name, backend, variant)
-        src = _LOOP_TEMPLATES[(ndim, ranged)]
+        src = _LOOP_TEMPLATES[ndim]
         return self._specialize(key, src, f"<jacc:{kernel_name}:{variant}>")
 
-    def loop_reduce(
-        self, kernel_name: str, backend: str, ndim: int, ranged: bool = False
-    ) -> Callable:
+    def loop_reduce(self, kernel_name: str, backend: str, ndim: int) -> Callable:
         """Specialized parallel_reduce loop nest for a kernel arity."""
-        variant = f"red{ndim}d{'r' if ranged else ''}"
+        variant = f"red{ndim}d"
         key = (kernel_name, backend, variant)
-        src = _REDUCE_TEMPLATES[(ndim, ranged)]
+        src = _REDUCE_TEMPLATES[ndim]
         return self._specialize(key, src, f"<jacc:{kernel_name}:{variant}>")
 
     def loop_for_flat(self, kernel_name: str, backend: str, ndim: int) -> Callable:

@@ -3,218 +3,48 @@
 The paper's outermost parallel axis is MPI ranks over *runs*; inside a
 rank the CPU engines are threads (GIL-serialized for Python bodies) or
 the vectorized device proxy.  This back end adds the missing CPU
-engine: the flattened index space is cut into a **fixed chunk grid**
-and executed on a persistent ``ProcessPoolExecutor``
-(:data:`repro.jacc.workers.GLOBAL_POOL`), with array captures shipped
-through ``multiprocessing.shared_memory`` instead of pickles.
+engine: the ordered-chunk engine of :mod:`repro.jacc.chunked` (fixed
+chunk grid, per-chunk deposit logs replayed in ascending chunk order,
+pairwise tree for reductions — bit-identical to serial for any worker
+count) with the chunks executed on a persistent
+``ProcessPoolExecutor`` (:data:`repro.jacc.workers.GLOBAL_POOL`) and
+array captures shipped through ``multiprocessing.shared_memory``
+instead of pickles.  It differs from ``threads`` only in that pool.
 
-Determinism is the design driver, in three pieces:
-
-* **Fixed decomposition.**  The chunk grid is a function of the index
-  space extent only (:func:`chunk_grid`), never of the worker count —
-  so *what* is computed per chunk is invariant to how many processes
-  execute the chunks.
-
-* **Ordered deposit replay (histograms).**  Scalar kernels accumulate
-  through ``Hist3.push``, whose float adds are non-associative; naive
-  per-worker partial histograms would drift in the last ulp and depend
-  on the partition.  Instead workers substitute a
-  :class:`RecordingHist3` that logs ``(flat_bin, weight, err_sq)``
-  in execution order, and the parent replays the logs chunk-by-chunk
-  in ascending chunk order with ``np.add.at`` (unbuffered,
-  element-order-sequential).  Ascending flat chunks *are* the serial
-  backend's row-major iteration order, so the per-bin fold is exactly
-  the serial fold: **bit-identical to the serial oracle for any worker
-  count**.  An optional ``REPRO_MULTIPROC_HIST=tree`` mode instead
-  gives each chunk a dense partial histogram in a shared-memory block
-  and combines the slots with the pairwise tree below — worker-count
-  invariant (fixed slots, fixed order) but re-associated relative to
-  serial; the conformance matrix pins both behaviours.
-
-* **Deterministic pairwise tree reduction (scalars).**
-  ``parallel_reduce`` computes one partial per fixed chunk and the
-  parent combines them with :func:`pairwise_tree`: adjacent pairs are
-  folded level by level, the odd tail carried, in a combine order
-  fixed by the chunk grid ⇒ bit-identical results regardless of worker
-  count.  ``max``/``min`` are exactly associative, so the tree equals
-  the serial fold bit-for-bit; ``+`` is deterministic and
-  worker-count-invariant (and exact for integer-valued floats).
-
-Capture sanitization: kernel *element* bodies must be module-level
-functions (picklable by reference); ndarray captures travel via shared
-memory and are copied back after the launch (so disjoint-write kernels
-behave exactly as on the threads back end); objects whose class sets
-``__jacc_shareable__ = False`` (caches, cache entries) are dropped to
-``None`` — element bodies never touch them; anything else is pickled.
-With one worker the launch runs in-process over the same chunk grid,
-so results are identical either way.
+Capture sanitization: kernel *element* bodies must be picklable
+(module-level functions, pickled by reference) — a closure or lambda
+is rejected with a :class:`~repro.jacc.backend.BackendError` naming
+the kernel before any task is submitted; ndarray captures travel via
+shared memory and are copied back after the launch (so disjoint-write
+kernels behave exactly as on the threads back end); objects whose
+class sets ``__jacc_shareable__ = False`` (caches, cache entries) are
+dropped to ``None`` — element bodies never touch them; anything else
+is pickled.  With one worker the launch runs in-process over the same
+chunk grid, so results are identical either way (and unpicklable
+kernels run too).
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import pickle
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.jacc.backend import Backend, BackendError, REDUCE_OPS, register_backend
-from repro.jacc.jit import GLOBAL_JIT
-from repro.jacc.kernels import Captures, Kernel, normalize_dims
-from repro.jacc.workers import GLOBAL_POOL, PROCS_ENV, resolve_workers
+from repro.jacc.backend import BackendError, register_backend
+from repro.jacc.chunked import (
+    ChunkedBackend,
+    RecordingHist3,
+    _is_histogram,
+    run_chunk,
+)
+from repro.jacc.kernels import Captures, Kernel
+from repro.jacc.workers import GLOBAL_POOL, PROCS_ENV
 from repro.util import trace as _trace
-
-#: fixed number of chunks the flattened index space is cut into; a
-#: function of nothing but this constant and the extent, so per-chunk
-#: work (and therefore every reduction's combine tree) is invariant to
-#: the worker count
-DEFAULT_CHUNKS = 16
-
-#: histogram accumulation mode: "replay" (ordered deposit replay,
-#: bit-identical to serial) or "tree" (shared-memory partial
-#: histograms + pairwise tree, worker-count invariant)
-HIST_MODE_ENV = "REPRO_MULTIPROC_HIST"
-_HIST_MODES = ("replay", "tree")
-
-#: refuse tree-mode partial blocks above this size (use replay instead)
-_TREE_BYTE_BUDGET = 1 << 28
-
-
-# ---------------------------------------------------------------------------
-# deterministic building blocks
-# ---------------------------------------------------------------------------
-
-def chunk_grid(total: int, n_chunks: int = DEFAULT_CHUNKS) -> List[Tuple[int, int]]:
-    """Contiguous ``[start, stop)`` windows of the flattened index space.
-
-    Depends only on ``total`` and ``n_chunks`` — never on the worker
-    count — with any remainder spread over the leading chunks (the same
-    convention as :func:`repro.mpi.decomposition.rank_range`).
-    """
-    if total <= 0:
-        return []
-    n = min(int(total), int(n_chunks))
-    step, rem = divmod(int(total), n)
-    out: List[Tuple[int, int]] = []
-    start = 0
-    for c in range(n):
-        size = step + (1 if c < rem else 0)
-        out.append((start, start + size))
-        start += size
-    return out
-
-
-def pairwise_tree(values: Sequence[Any], combine: Callable[[Any, Any], Any]) -> Any:
-    """Fold ``values`` with a fixed pairwise tree.
-
-    Level by level, adjacent pairs are combined left to right and an
-    odd tail is carried to the next level.  The combine order is a pure
-    function of ``len(values)``, which is what makes tree-combined
-    partials reproducible: as long as the *partials* are fixed (fixed
-    chunk grid), the result is bit-identical no matter how many workers
-    produced them or in what order they finished.
-    """
-    vals = list(values)
-    if not vals:
-        raise BackendError("pairwise_tree of no values")
-    while len(vals) > 1:
-        nxt = [combine(vals[i], vals[i + 1]) for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
-# ---------------------------------------------------------------------------
-# worker-side histogram stand-in
-# ---------------------------------------------------------------------------
-
-def _is_histogram(value: Any) -> bool:
-    """Duck-typed Hist3 detection (kept structural so the jacc layer
-    does not import :mod:`repro.core`)."""
-    return (
-        hasattr(value, "push")
-        and hasattr(value, "grid")
-        and hasattr(value, "flat_signal")
-    )
-
-
-class RecordingHist3:
-    """Order-preserving deposit recorder standing in for ``Hist3``.
-
-    Implements the accumulation surface kernel element bodies use
-    (``push`` — bin arithmetic identical to ``Hist3.push`` — and
-    ``push_many``), but instead of touching a signal array it records
-    ``(flat_bin, weight, err_sq)`` in call order.  The parent replays
-    the log with ``np.add.at``, which applies unbuffered element by
-    element: the per-bin accumulation order, and therefore every
-    floating-point rounding step, matches a serial execution of the
-    same index window exactly.
-    """
-
-    def __init__(self, grid: Any, track_errors: bool) -> None:
-        self.grid = grid
-        self.track_errors = bool(track_errors)
-        self._idx: List[int] = []
-        self._w: List[float] = []
-        self._e: List[float] = []
-
-    def push(self, c0: float, c1: float, c2: float,
-             weight: float, err_sq: float = 0.0) -> bool:
-        grid = self.grid
-        mn, w, nb = grid.minimum, grid.widths, grid.bins
-        i0 = int((c0 - mn[0]) // w[0])
-        i1 = int((c1 - mn[1]) // w[1])
-        i2 = int((c2 - mn[2]) // w[2])
-        if not (0 <= i0 < nb[0] and 0 <= i1 < nb[1] and 0 <= i2 < nb[2]):
-            return False
-        self._idx.append((i0 * nb[1] + i1) * nb[2] + i2)
-        self._w.append(float(weight))
-        if self.track_errors:
-            self._e.append(float(err_sq))
-        return True
-
-    def push_many(self, coords: np.ndarray, weights: np.ndarray,
-                  err_sq: Optional[np.ndarray] = None, *,
-                  scatter_impl: str = "atomic") -> int:
-        flat, inside = self.grid.bin_index(np.asarray(coords, dtype=np.float64))
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != inside.shape:
-            weights = np.broadcast_to(weights, inside.shape)
-        self._idx.extend(int(i) for i in flat[inside].ravel())
-        self._w.extend(float(v) for v in weights[inside].ravel())
-        if self.track_errors:
-            if err_sq is None:
-                self._e.extend(0.0 for _ in range(int(inside.sum())))
-            else:
-                err_sq = np.broadcast_to(
-                    np.asarray(err_sq, dtype=np.float64), inside.shape
-                )
-                self._e.extend(float(v) for v in err_sq[inside].ravel())
-        return int(inside.sum())
-
-    def harvest(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """The deposit log as dense arrays (idx, weights, err_sq|None)."""
-        idx = np.asarray(self._idx, dtype=np.int64)
-        w = np.asarray(self._w, dtype=np.float64)
-        e = np.asarray(self._e, dtype=np.float64) if self.track_errors else None
-        return idx, w, e
-
-
-def replay_deposits(
-    hist: Any, logs: Sequence[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
-) -> None:
-    """Apply deposit logs in the given order (``np.add.at`` semantics)."""
-    flat_signal = hist.flat_signal
-    flat_err = getattr(hist, "flat_error_sq", None)
-    for idx, w, e in logs:
-        if idx.size == 0:
-            continue
-        np.add.at(flat_signal, idx, w)
-        if flat_err is not None and e is not None:
-            np.add.at(flat_err, idx, e)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +63,8 @@ class _Transport:
         self.blocks: List[shared_memory.SharedMemory] = []
         self.writebacks: List[Tuple[np.ndarray, shared_memory.SharedMemory,
                                     Tuple[int, ...], str]] = []
-        self.hists: Dict[str, Any] = {}
         for attr, value in vars(captures).items():
             if _is_histogram(value):
-                self.hists[attr] = value
                 self.payload[attr] = (
                     "hist", value.grid,
                     getattr(value, "flat_error_sq", None) is not None,
@@ -258,69 +86,6 @@ class _Transport:
     def write_back(self) -> None:
         for original, shm, shape, dtype in self.writebacks:
             original[...] = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-
-    def close(self) -> None:
-        for shm in self.blocks:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self.blocks.clear()
-
-
-class _TreeBlocks:
-    """Tree-mode shared-memory partial histograms: one dense slot per
-    fixed chunk, combined by the parent with :func:`pairwise_tree`."""
-
-    def __init__(self, hists: Dict[str, Any], n_chunks: int) -> None:
-        self.n_chunks = int(n_chunks)
-        self.specs: Dict[str, Tuple[str, Optional[str], int]] = {}
-        self.blocks: List[shared_memory.SharedMemory] = []
-        for attr, hist in hists.items():
-            nbins = int(hist.flat_signal.size)
-            nbytes = self.n_chunks * nbins * 8
-            if nbytes > _TREE_BYTE_BUDGET:
-                raise BackendError(
-                    f"tree-mode partial histograms need {nbytes} bytes for "
-                    f"{attr!r}; use {HIST_MODE_ENV}=replay for grids this large"
-                )
-            sig = self._zero_block(nbytes)
-            err_name: Optional[str] = None
-            if getattr(hist, "flat_error_sq", None) is not None:
-                err_name = self._zero_block(nbytes).name
-            self.specs[attr] = (sig.name, err_name, nbins)
-
-    def _zero_block(self, nbytes: int) -> shared_memory.SharedMemory:
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        np.ndarray(nbytes // 8, dtype=np.float64, buffer=shm.buf).fill(0.0)
-        self.blocks.append(shm)
-        return shm
-
-    def _by_name(self, name: str) -> shared_memory.SharedMemory:
-        for shm in self.blocks:
-            if shm.name == name:
-                return shm
-        raise BackendError(f"unknown tree block {name!r}")  # pragma: no cover
-
-    def combine_into(self, hists: Dict[str, Any]) -> None:
-        for attr, (sig_name, err_name, nbins) in self.specs.items():
-            hist = hists[attr]
-            slots = np.ndarray(
-                (self.n_chunks, nbins), dtype=np.float64,
-                buffer=self._by_name(sig_name).buf,
-            )
-            target = hist.flat_signal
-            target += pairwise_tree(list(slots), lambda a, b: a + b)
-            del slots, target  # release shm views before close()
-            if err_name is not None:
-                err_slots = np.ndarray(
-                    (self.n_chunks, nbins), dtype=np.float64,
-                    buffer=self._by_name(err_name).buf,
-                )
-                err_target = hist.flat_error_sq
-                err_target += pairwise_tree(list(err_slots), lambda a, b: a + b)
-                del err_slots, err_target
 
     def close(self) -> None:
         for shm in self.blocks:
@@ -441,70 +206,17 @@ def _close_worker_shm(opened: List[shared_memory.SharedMemory]) -> None:
             pass
 
 
-def _for_chunk_body(
-    task: Dict[str, Any], ctx: Captures, hists: Dict[str, RecordingHist3],
-    opened: List[shared_memory.SharedMemory],
-) -> Optional[Dict[str, Tuple]]:
-    loop = GLOBAL_JIT.loop_for_flat(task["kernel"], "multiprocess", task["ndim"])
-    loop(task["element"], ctx, task["dims"], task["start"], task["stop"])
-    tree_specs: Dict[str, Tuple[str, Optional[str], int]] = task.get("tree") or {}
-    if not hists:
-        return None
-    if not tree_specs:
-        return {attr: rec.harvest() for attr, rec in hists.items()}
-    chunk = int(task["chunk"])
-    for attr, rec in hists.items():
-        sig_name, err_name, nbins = tree_specs[attr]
-        idx, w, e = rec.harvest()
-        shm = shared_memory.SharedMemory(name=sig_name)
-        opened.append(shm)
-        slot = np.ndarray(
-            (task["n_chunks"], nbins), dtype=np.float64, buffer=shm.buf
-        )[chunk]
-        if idx.size:
-            np.add.at(slot, idx, w)
-        del slot
-        if err_name is not None and e is not None:
-            eshm = shared_memory.SharedMemory(name=err_name)
-            opened.append(eshm)
-            eslot = np.ndarray(
-                (task["n_chunks"], nbins), dtype=np.float64, buffer=eshm.buf
-            )[chunk]
-            if idx.size:
-                np.add.at(eslot, idx, e)
-            del eslot
-    return None
 
 
-def _run_for_chunk(task: Dict[str, Any]) -> Any:
-    """Execute one flat chunk of a ``parallel_for`` in a worker process."""
-    def body() -> Optional[Dict[str, Tuple]]:
+def _run_chunk_task(task: Dict[str, Any]) -> Any:
+    """Execute one chunk task in a worker process."""
+    def body() -> Any:
         ctx, opened, hists = _open_captures(task["captures"])
         try:
-            return _for_chunk_body(task, ctx, hists, opened)
+            return run_chunk("multiprocess", task, ctx, hists)
         finally:
             # Drop every reference into the shared buffers (the Captures
             # holds the views) before closing the attachments.
-            ctx = None  # noqa: F841
-            _close_worker_shm(opened)
-
-    return _worker_traced(task, body)
-
-
-def _run_reduce_chunk(task: Dict[str, Any]) -> Any:
-    """Execute one flat chunk of a ``parallel_reduce`` in a worker."""
-    def body() -> float:
-        combine, init = REDUCE_OPS[task["op"]]
-        ctx, opened, _hists = _open_captures(task["captures"])
-        try:
-            loop = GLOBAL_JIT.loop_reduce_flat(
-                task["kernel"], "multiprocess", task["ndim"]
-            )
-            return float(
-                loop(task["element"], ctx, task["dims"], combine, init,
-                     task["start"], task["stop"])
-            )
-        finally:
             ctx = None  # noqa: F841
             _close_worker_shm(opened)
 
@@ -515,89 +227,31 @@ def _run_reduce_chunk(task: Dict[str, Any]) -> Any:
 # the back end
 # ---------------------------------------------------------------------------
 
-class MultiprocessBackend(Backend):
+class MultiprocessBackend(ChunkedBackend):
     name = "multiprocess"
-    device_kind = "cpu"
+    workers_env = PROCS_ENV
 
-    def __init__(
-        self,
-        n_workers: Optional[int] = None,
-        *,
-        n_chunks: int = DEFAULT_CHUNKS,
-        hist_mode: Optional[str] = None,
-    ) -> None:
-        self._explicit_workers = n_workers
-        self._n_chunks = int(n_chunks)
-        if self._n_chunks < 1:
-            raise BackendError(f"n_chunks must be >= 1, got {n_chunks}")
-        if hist_mode is not None and hist_mode not in _HIST_MODES:
+    def _map(self, kernel: Kernel, captures: Captures,
+             tasks: List[Dict[str, Any]]) -> List[Any]:
+        try:
+            pickle.dumps(kernel.element)
+        except Exception as exc:
             raise BackendError(
-                f"hist_mode must be one of {_HIST_MODES}, got {hist_mode!r}"
-            )
-        self._hist_mode = hist_mode
-
-    @property
-    def n_workers(self) -> int:
-        """Effective worker count (``REPRO_NUM_PROCS`` or CPU count)."""
-        return resolve_workers(PROCS_ENV, self._explicit_workers)
-
-    @property
-    def hist_mode(self) -> str:
-        if self._hist_mode is not None:
-            return self._hist_mode
-        env = os.environ.get(HIST_MODE_ENV, "").strip()
-        if not env:
-            return "replay"
-        if env not in _HIST_MODES:
-            raise BackendError(
-                f"{HIST_MODE_ENV} must be one of {_HIST_MODES}, got {env!r}"
-            )
-        return env
-
-    # -- parallel_for ----------------------------------------------------
-    def run_parallel_for(
-        self, dims: int | Tuple[int, ...], kernel: Kernel, captures: Captures
-    ) -> None:
-        dims = normalize_dims(dims)
-        total = 1
-        for d in dims:
-            total *= d
-        chunks = chunk_grid(total, self._n_chunks)
-        if not chunks:
-            return
-        if self.n_workers == 1:
-            # In-process degenerate pool: the same flat loop over the
-            # full range — identical to replaying the chunk logs in
-            # ascending order, so results match the multi-worker path.
-            loop = GLOBAL_JIT.loop_for_flat(kernel.name, self.name, len(dims))
-            loop(kernel.element, captures, dims, 0, total)
-            return
+                f"kernel {kernel.name!r}: its element body cannot be sent "
+                f"to worker processes ({exc}); define it at module level "
+                f"or run with {PROCS_ENV}=1"
+            ) from exc
         transport = _Transport(captures)
-        tree: Optional[_TreeBlocks] = None
+        extra: Dict[str, Any] = {"captures": transport.payload}
         trace_ctx = _trace_ctx()
+        if trace_ctx:
+            extra["trace"] = trace_ctx
         tracer = _trace.active_tracer()
         try:
-            if self.hist_mode == "tree" and transport.hists:
-                tree = _TreeBlocks(transport.hists, len(chunks))
-            tasks = [
-                dict(
-                    kernel=kernel.name,
-                    element=kernel.element,
-                    ndim=len(dims),
-                    dims=dims,
-                    start=start,
-                    stop=stop,
-                    chunk=c,
-                    n_chunks=len(chunks),
-                    captures=transport.payload,
-                    tree=tree.specs if tree is not None else None,
-                    **({"trace": trace_ctx} if trace_ctx else {}),
-                )
-                for c, (start, stop) in enumerate(chunks)
-            ]
             try:
                 pool = GLOBAL_POOL.executor(self.n_workers)
-                futures = [pool.submit(_run_for_chunk, t) for t in tasks]
+                futures = [pool.submit(_run_chunk_task, dict(t, **extra))
+                           for t in tasks]
                 results = [_unwrap_traced(f.result(), tracer)
                            for f in futures]
             except BrokenProcessPool as exc:
@@ -607,83 +261,8 @@ class MultiprocessBackend(Backend):
                     f"(kernel {kernel.name!r}); pool disposed, next launch "
                     "starts fresh"
                 ) from exc
-            if tree is not None:
-                tree.combine_into(transport.hists)
-            elif transport.hists:
-                # ascending chunk order == serial row-major order: the
-                # replayed per-bin fold is bit-identical to the oracle
-                for attr, hist in transport.hists.items():
-                    replay_deposits(
-                        hist, [res[attr] for res in results if res is not None]
-                    )
             transport.write_back()
-        finally:
-            if tree is not None:
-                tree.close()
-            transport.close()
-
-    # -- parallel_reduce -------------------------------------------------
-    def run_parallel_reduce(
-        self,
-        dims: int | Tuple[int, ...],
-        kernel: Kernel,
-        captures: Captures,
-        op: str = "+",
-    ) -> float:
-        dims = normalize_dims(dims)
-        try:
-            combine, init = REDUCE_OPS[op]
-        except KeyError:
-            raise BackendError(f"unknown reduction op {op!r}") from None
-        total = 1
-        for d in dims:
-            total *= d
-        chunks = chunk_grid(total, self._n_chunks)
-        if not chunks:
-            return float(init)
-        if self.n_workers == 1:
-            # Same fixed chunk grid + same tree as the multi-worker
-            # path, evaluated in-process: worker-count invariance by
-            # construction.
-            loop = GLOBAL_JIT.loop_reduce_flat(kernel.name, self.name, len(dims))
-            partials = [
-                float(loop(kernel.element, captures, dims, combine, init,
-                           start, stop))
-                for start, stop in chunks
-            ]
-            return float(pairwise_tree(partials, combine))
-        transport = _Transport(captures)
-        trace_ctx = _trace_ctx()
-        tracer = _trace.active_tracer()
-        try:
-            tasks = [
-                dict(
-                    kernel=kernel.name,
-                    element=kernel.element,
-                    ndim=len(dims),
-                    dims=dims,
-                    start=start,
-                    stop=stop,
-                    chunk=c,
-                    op=op,
-                    captures=transport.payload,
-                    **({"trace": trace_ctx} if trace_ctx else {}),
-                )
-                for c, (start, stop) in enumerate(chunks)
-            ]
-            try:
-                pool = GLOBAL_POOL.executor(self.n_workers)
-                futures = [pool.submit(_run_reduce_chunk, t) for t in tasks]
-                partials = [float(_unwrap_traced(f.result(), tracer))
-                            for f in futures]
-            except BrokenProcessPool as exc:
-                GLOBAL_POOL.dispose()
-                raise BackendError(
-                    "multiprocess worker pool broke mid-launch "
-                    f"(kernel {kernel.name!r}); pool disposed, next launch "
-                    "starts fresh"
-                ) from exc
-            return float(pairwise_tree(partials, combine))
+            return results
         finally:
             transport.close()
 

@@ -2,12 +2,16 @@
 
 The paper's C++ proxy parallelizes the (symmetry op x detector) loop
 with OpenMP ``collapse(2)``; JACC.jl's Threads back end does the same
-with Julia tasks.  Here the outer index-space dimension is chunked over
-a worker pool (``REPRO_NUM_THREADS``, default the machine's CPU count).
-Each worker runs a JIT-specialized *ranged* loop nest, so the per-index
-body is identical to the serial back end and correctness is preserved
-by construction; reductions combine per-worker partials, avoiding any
-shared mutable accumulator.
+with Julia tasks.  Here the flattened index space is cut into the fixed
+chunk grid of :mod:`repro.jacc.chunked` and the chunks run on a thread
+pool (``REPRO_NUM_THREADS``, default the machine's CPU count).  Each
+chunk runs the JIT-specialized flat loop nest over the caller's
+captures, except that every histogram capture is swapped for the
+chunk's own :class:`~repro.jacc.chunked.RecordingHist3`; the parent
+replays the logs in ascending chunk order, and ``parallel_reduce``
+combines the per-chunk partials with the pairwise tree.  No two
+threads ever add into the same histogram, so results are
+bit-identical to the serial back end for every worker count.
 
 On a single-core host the pool degenerates gracefully (the structure is
 exercised, the speedup is not) — DESIGN.md section 2 documents this as
@@ -17,11 +21,11 @@ part of the hardware substitution.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.jacc.backend import Backend, BackendError, REDUCE_OPS, register_backend
-from repro.jacc.jit import GLOBAL_JIT
-from repro.jacc.kernels import Captures, Kernel, normalize_dims
+from repro.jacc.backend import register_backend
+from repro.jacc.chunked import ChunkedBackend, recording_captures, run_chunk
+from repro.jacc.kernels import Captures, Kernel
 from repro.jacc.workers import THREADS_ENV, resolve_workers
 
 
@@ -37,78 +41,26 @@ def _default_workers() -> int:
     return resolve_workers(THREADS_ENV)
 
 
-class ThreadsBackend(Backend):
+class ThreadsBackend(ChunkedBackend):
     name = "threads"
-    device_kind = "cpu"
+    workers_env = THREADS_ENV
 
     def __init__(self, n_workers: Optional[int] = None) -> None:
-        self._n_workers = n_workers
+        super().__init__(n_workers)
         self._pool: Optional[ThreadPoolExecutor] = None
 
-    @property
-    def n_workers(self) -> int:
-        return self._n_workers if self._n_workers else _default_workers()
+    def _map(self, kernel: Kernel, captures: Captures,
+             tasks: List[Dict[str, Any]]) -> List[Any]:
+        def run(task: Dict[str, Any]) -> Any:
+            ctx, recorders = recording_captures(captures)
+            return run_chunk(self.name, task, ctx, recorders)
 
-    def _executor(self) -> ThreadPoolExecutor:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.n_workers, thread_name_prefix="jacc"
             )
-        return self._pool
-
-    def _chunks(self, n: int) -> list[tuple[int, int]]:
-        workers = self.n_workers
-        if n <= 0:
-            return []
-        step = max(1, (n + workers - 1) // workers)
-        return [(start, min(start + step, n)) for start in range(0, n, step)]
-
-    def run_parallel_for(
-        self, dims: int | Tuple[int, ...], kernel: Kernel, captures: Captures
-    ) -> None:
-        dims = normalize_dims(dims)
-        chunks = self._chunks(dims[0])
-        if not chunks:
-            return
-        loop = GLOBAL_JIT.loop_for(kernel.name, self.name, len(dims), ranged=True)
-        if len(chunks) == 1:
-            loop(kernel.element, captures, dims, 0, dims[0])
-            return
-        pool = self._executor()
-        futures = [
-            pool.submit(loop, kernel.element, captures, dims, start, stop)
-            for start, stop in chunks
-        ]
-        for f in futures:
-            f.result()  # re-raise worker exceptions
-
-    def run_parallel_reduce(
-        self,
-        dims: int | Tuple[int, ...],
-        kernel: Kernel,
-        captures: Captures,
-        op: str = "+",
-    ) -> float:
-        dims = normalize_dims(dims)
-        try:
-            combine, init = REDUCE_OPS[op]
-        except KeyError:
-            raise BackendError(f"unknown reduction op {op!r}") from None
-        chunks = self._chunks(dims[0])
-        if not chunks:
-            return float(init)
-        loop = GLOBAL_JIT.loop_reduce(kernel.name, self.name, len(dims), ranged=True)
-        if len(chunks) == 1:
-            return float(loop(kernel.element, captures, dims, combine, init, 0, dims[0]))
-        pool = self._executor()
-        futures = [
-            pool.submit(loop, kernel.element, captures, dims, combine, init, start, stop)
-            for start, stop in chunks
-        ]
-        acc = init
-        for f in futures:
-            acc = combine(acc, f.result())
-        return float(acc)
+        futures = [self._pool.submit(run, t) for t in tasks]
+        return [f.result() for f in futures]  # re-raises worker exceptions
 
 
 THREADS = register_backend(ThreadsBackend())

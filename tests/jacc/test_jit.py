@@ -28,7 +28,7 @@ class TestJITCache:
         cache = JITCache()
         cache.loop_for("k1", "serial", 1)
         cache.loop_for("k1", "serial", 2)
-        cache.loop_for("k1", "serial", 1, ranged=True)
+        cache.loop_for_flat("k1", "serial", 1)
         cache.loop_reduce("k1", "serial", 1)
         assert len(cache.compile_events) == 4
 
@@ -78,19 +78,21 @@ class TestGeneratedLoops:
         loop(lambda ctx, n, i: seen.append((n, i)), None, (2, 3))
         assert seen == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
-    def test_ranged_loop_respects_bounds(self):
+    def test_flat_loop_respects_bounds(self):
         cache = JITCache()
-        loop = cache.loop_for("k", "threads", 1, ranged=True)
+        loop = cache.loop_for_flat("k", "threads", 1)
         seen = []
         loop(lambda ctx, i: seen.append(i), None, (10,), 3, 6)
         assert seen == [3, 4, 5]
 
-    def test_ranged_2d_covers_inner_dim(self):
+    def test_flat_2d_window_crosses_rows(self):
+        """A flat window starts and stops mid-row: [3, 7) of a (5, 2)
+        space covers the tail of row 1 through the head of row 3."""
         cache = JITCache()
-        loop = cache.loop_for("k", "threads", 2, ranged=True)
+        loop = cache.loop_for_flat("k", "threads", 2)
         seen = []
-        loop(lambda ctx, n, i: seen.append((n, i)), None, (5, 2), 1, 3)
-        assert seen == [(1, 0), (1, 1), (2, 0), (2, 1)]
+        loop(lambda ctx, n, i: seen.append((n, i)), None, (5, 2), 3, 7)
+        assert seen == [(1, 1), (2, 0), (2, 1), (3, 0)]
 
     def test_reduce_loop_accumulates(self):
         cache = JITCache()

@@ -11,8 +11,9 @@ matrix lives in ``test_backend_conformance.py``):
   deposit replay whose per-bin float fold equals the serial fold;
 * :class:`_Transport` — shared-memory capture shipping, ndarray
   write-back, and the ``__jacc_shareable__ = False`` drop protocol;
-* back-end construction / ``REPRO_MULTIPROC_HIST`` validation and the
-  replay-vs-tree histogram modes.
+* back-end dispatch: a worker-count-independent task grid, ordered
+  replay through a real process pool, and the up-front rejection of
+  element bodies that cannot be pickled.
 """
 
 import numpy as np
@@ -25,16 +26,13 @@ from repro.core.hist3 import Hist3
 from repro.jacc import parallel_for
 from repro.jacc.backend import BackendError
 from repro.jacc.kernels import Captures, Kernel, make_captures
-from repro.jacc.multiproc import (
-    DEFAULT_CHUNKS,
-    HIST_MODE_ENV,
-    MultiprocessBackend,
+from repro.jacc.chunked import (
     RecordingHist3,
-    _Transport,
     chunk_grid,
     pairwise_tree,
     replay_deposits,
 )
+from repro.jacc.multiproc import MultiprocessBackend, _Transport
 from repro.jacc.workers import GLOBAL_POOL
 
 GRID = HKLGrid(basis=np.eye(3), minimum=(-1.0, -1.0, -1.0),
@@ -231,7 +229,6 @@ class TestTransport:
         try:
             kind, grid, track = t.payload["hist"]
             assert kind == "hist" and grid is GRID and track is True
-            assert t.hists == {"hist": hist}
         finally:
             t.close()
 
@@ -256,7 +253,7 @@ class TestTransport:
 
 
 # ---------------------------------------------------------------------------
-# back-end construction / histogram modes
+# back-end dispatch
 # ---------------------------------------------------------------------------
 
 def _hist_element(ctx, i):
@@ -268,29 +265,32 @@ HIST_K = Kernel(name="mp_hist_modes", element=_hist_element)
 
 
 class TestBackendConfig:
-    def test_rejects_bad_chunk_count(self):
-        with pytest.raises(BackendError, match="n_chunks"):
-            MultiprocessBackend(n_chunks=0)
-
-    def test_rejects_bad_hist_mode(self):
-        with pytest.raises(BackendError, match="hist_mode"):
-            MultiprocessBackend(hist_mode="average")
-
-    def test_rejects_bad_env_hist_mode(self, monkeypatch):
-        monkeypatch.setenv(HIST_MODE_ENV, "banana")
-        with pytest.raises(BackendError, match=HIST_MODE_ENV):
-            _ = MultiprocessBackend().hist_mode
-
-    def test_hist_mode_precedence(self, monkeypatch):
-        monkeypatch.delenv(HIST_MODE_ENV, raising=False)
-        assert MultiprocessBackend().hist_mode == "replay"
-        monkeypatch.setenv(HIST_MODE_ENV, "tree")
-        assert MultiprocessBackend().hist_mode == "tree"
-        assert MultiprocessBackend(hist_mode="replay").hist_mode == "replay"
-
     def test_default_chunk_grid_is_worker_independent(self):
-        assert MultiprocessBackend(n_workers=1)._n_chunks == DEFAULT_CHUNKS
-        assert MultiprocessBackend(n_workers=7)._n_chunks == DEFAULT_CHUNKS
+        one = MultiprocessBackend(n_workers=1)._tasks(HIST_K, (100,))
+        seven = MultiprocessBackend(n_workers=7)._tasks(HIST_K, (100,))
+        assert one == seven
+        assert [(t["start"], t["stop"]) for t in one] == chunk_grid(100)
+
+    def test_unpicklable_element_rejected_before_submit(self):
+        """A closure cannot reach a worker process: dispatch names the
+        kernel in a BackendError instead of letting the pool's feeder
+        thread fail, and no pool is started for it."""
+        scale = 2.0
+        closure = Kernel(name="mp_closure_probe",
+                         element=lambda ctx, i: ctx.out.__setitem__(i, scale))
+        GLOBAL_POOL.dispose()
+        with pytest.raises(BackendError, match="mp_closure_probe"):
+            MultiprocessBackend(n_workers=2).parallel_for(
+                4, closure, make_captures(out=np.zeros(4)))
+        assert GLOBAL_POOL.size == 0
+
+    def test_unpicklable_element_runs_in_process_with_one_worker(self):
+        closure = Kernel(name="mp_closure_inproc",
+                         element=lambda ctx, i: ctx.out.__setitem__(i, i))
+        out = np.zeros(4)
+        MultiprocessBackend(n_workers=1).parallel_for(
+            4, closure, make_captures(out=out))
+        assert np.array_equal(out, np.arange(4.0))
 
 
 class TestHistModes:
@@ -308,32 +308,7 @@ class TestHistModes:
 
         serial = self._run(get_backend("serial"))
         for workers in (1, 2):
-            mp = self._run(MultiprocessBackend(n_workers=workers,
-                                               hist_mode="replay"))
+            mp = self._run(MultiprocessBackend(n_workers=workers))
             assert np.array_equal(mp.signal, serial.signal), workers
             assert np.array_equal(mp.error_sq, serial.error_sq), workers
         GLOBAL_POOL.dispose()
-
-    def test_tree_mode_worker_invariant_and_close_to_serial(self):
-        """Tree mode re-associates the per-bin fold (fixed slots, fixed
-        pairwise order): worker-count invariant, allclose to serial."""
-        from repro.jacc import get_backend
-
-        serial = self._run(get_backend("serial"))
-        trees = [self._run(MultiprocessBackend(n_workers=n, hist_mode="tree"))
-                 for n in (2, 2)]
-        GLOBAL_POOL.dispose()
-        assert np.array_equal(trees[0].signal, trees[1].signal)
-        np.testing.assert_allclose(trees[0].signal, serial.signal,
-                                   rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(trees[0].error_sq, serial.error_sq,
-                                   rtol=1e-12, atol=0.0)
-
-    def test_tree_mode_refuses_giant_grids(self):
-        big = HKLGrid(basis=np.eye(3), minimum=(-1, -1, -1),
-                      maximum=(1, 1, 1), bins=(603, 603, 101))
-        hist = Hist3(big)
-        from repro.jacc.multiproc import _TreeBlocks
-
-        with pytest.raises(BackendError, match="replay"):
-            _TreeBlocks({"hist": hist}, 16)
