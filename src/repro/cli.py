@@ -34,6 +34,10 @@ from repro.bench.harness import (
     run_minivates,
 )
 from repro.bench.workloads import benzil_corelli, bixbyite_topaz, build_workload
+from repro.jacc import available_backends
+
+#: the registered jacc back ends, for ``--backend`` help texts
+_BACKEND_CHOICES = "|".join(available_backends())
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -349,8 +353,7 @@ def _trace_parser() -> argparse.ArgumentParser:
     p.add_argument("--files", type=int, default=None,
                    help="number of run files to synthesize/measure")
     p.add_argument("--backend", default=None,
-                   help="jacc back end for --impl core "
-                        "(serial|threads|vectorized|multiprocess|fused)")
+                   help=f"jacc back end for --impl core ({_BACKEND_CHOICES})")
     p.add_argument("--ranks", type=int, default=1,
                    help="simulated MPI world size (core/cpp/minivates)")
     _add_shard_flags(p)
@@ -772,8 +775,7 @@ def _perf_add_bench_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--repeats", type=int, default=5,
                    help="timing repeats per stage (default 5)")
     p.add_argument("--backend", default="vectorized",
-                   help="jacc back end for the timed panel "
-                        "(serial|threads|vectorized|multiprocess|fused)")
+                   help=f"jacc back end for the timed panel ({_BACKEND_CHOICES})")
     _add_shard_flags(p)
     _add_oocore_flags(p)
     p.add_argument("--name", default=None,
@@ -957,6 +959,7 @@ def perf_main(argv: Optional[List[str]] = None) -> int:
 
     if args.cmd == "report":
         from repro.util.perf import (
+            mdnorm_padding,
             service_summary,
             service_table,
             shard_summary,
@@ -974,6 +977,11 @@ def perf_main(argv: Optional[List[str]] = None) -> int:
             if cw:
                 pairs = "  ".join(f"{k}={v:g}" for k, v in sorted(cw.items()))
                 print(f"  cold/warm: {pairs}")
+            pad = mdnorm_padding(records)
+            if pad["segment_slots"]:
+                print(f"  mdnorm padding: {pad['live_segments']:g} live segments "
+                      f"/ {pad['segment_slots']:g} slots, "
+                      f"pad efficiency {pad['pad_efficiency']:.3f}")
             shards_info = shard_summary(records)
             if shards_info:
                 print(shard_table(

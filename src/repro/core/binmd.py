@@ -9,7 +9,7 @@ Both kernel forms are provided through one :class:`~repro.jacc.Kernel`:
 
 * ``element`` — the per-(op, event) body run by the CPU back ends,
   a line-for-line analogue of Listing 3's lambda;
-* ``batch`` — the device realization: per op, one fused
+* ``batch`` — the device realization: per op, one array-wide
   transform + scatter-add over all events (tiled to bound memory).
 
 Mantid's production BinMD walks an adaptive MDBox hierarchy; the paper
@@ -20,7 +20,7 @@ single-box algorithm, and so do we (the hierarchy lives in
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def _event_bins(
 
 
 def _bin_events_batch(ctx: Captures, dims: tuple[int, int]) -> None:
-    """Device realization: per op, fused transform + scatter over events.
+    """Device realization: per op, one transform + scatter over events.
 
     With a warm :class:`BinMDEntry` the transform and bin search are
     skipped: the cached flat indices / inside masks are sliced per tile
@@ -117,10 +117,10 @@ def _bin_events_batch(ctx: Captures, dims: tuple[int, int]) -> None:
 
 
 def binmd_deposits(
-    ctx: Captures, n: int, a: int, b: int
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """The batch kernel's deposit log for op ``n`` over events
-    ``[a, b)``: ``(flat_idx, weight, err_sq | None)`` in scatter order.
+    ctx: Captures, a: int, b: int
+) -> List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """The batch kernel's deposit logs over events ``[a, b)``: one
+    ``(flat_idx, weight, err_sq | None)`` per op, in scatter order.
 
     Logs taken op-major over ascending contiguous event ranges
     concatenate to the exact deposit sequence of
@@ -129,11 +129,13 @@ def binmd_deposits(
     ``grid``, ``events``, ``transforms`` and ``track_errors``.
     """
     ev = ctx.events[a:b]
-    flat, inside = _event_bins(
-        ev[:, COL_QX : COL_QZ + 1], ctx.transforms[n].T, ctx.grid
-    )
-    err_sq = ev[:, COL_ERROR_SQ][inside] if ctx.track_errors else None
-    return flat[inside], ev[:, COL_SIGNAL][inside], err_sq
+    q = ev[:, COL_QX : COL_QZ + 1]
+    logs = []
+    for op in ctx.transforms:
+        flat, inside = _event_bins(q, op.T, ctx.grid)
+        err_sq = ev[:, COL_ERROR_SQ][inside] if ctx.track_errors else None
+        logs.append((flat[inside], ev[:, COL_SIGNAL][inside], err_sq))
+    return logs
 
 
 BIN_EVENTS_KERNEL = Kernel(

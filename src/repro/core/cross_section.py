@@ -421,7 +421,7 @@ def compute_cross_section(
     *,
     comm: Optional[Comm] = None,
     backend: Optional[str] = None,
-    sort_impl: str = "comb",
+    sort_impl: str = "library",
     scatter_impl: str = "atomic",
     timings: Optional[StageTimings] = None,
     binmd_impl: Optional[Callable] = None,

@@ -16,8 +16,8 @@ entry kinds behind one LRU byte budget:
   ``(grid, transforms, detectors, band, calibration, flux)`` key: the
   trajectory directions, the clipped momentum windows and the
   max-intersections pre-pass bound, plus (once the device/batch kernel
-  has run) a packed :class:`DepositPlan` holding the per-trajectory
-  intersection segment fluxes and flat bin indices;
+  has run) a compacted :class:`DepositPlan` holding the segment
+  fluxes and flat bin indices of every depositing segment;
 * **BinMD entries** (:class:`BinMDEntry`) — per
   ``(grid, transforms, event-table)`` key: the flat bin indices and
   inside masks of every event under every symmetry op;
@@ -145,14 +145,17 @@ class CacheStats:
 
 @dataclass
 class DepositPlan:
-    """Packed per-trajectory deposit arrays for the MDNorm batch kernel.
+    """Compacted deposit arrays for the MDNorm batch kernel.
 
-    Row ``r`` is one *live* (op, detector) trajectory after stream
-    compaction; per segment ``j`` it records the cumulative-flux
-    difference, the flat histogram bin index of the segment midpoint
-    and whether the segment deposits at all.  Everything
-    charge-independent is captured, so a warm launch only multiplies by
-    ``solid_angle x charge`` and scatter-adds.
+    ``live`` is the stream-compaction mask over every (op, detector)
+    trajectory.  After it, one entry per *stored segment* — a
+    non-empty segment whose midpoint bins inside the grid — in the
+    cold pass's row-major deposit order: the live-row index it belongs
+    to, its cumulative-flux difference and the flat histogram bin of
+    its midpoint.  Everything charge-independent is captured, so a warm
+    launch only multiplies by ``solid_angle x charge`` and scatter-adds.
+    Padded and empty slots are not stored, so the plan does not depend
+    on the intersection-buffer width.
     """
 
     #: cache material is process-local: the multiprocess back end drops
@@ -161,27 +164,29 @@ class DepositPlan:
     #: batch kernels do)
     __jacc_shareable__ = False
 
-    #: the padded intersection-buffer width this plan was built for
-    width: int
     #: ``(n_ops * n_det,)`` stream-compaction mask (k window non-empty
     #: and detector weight non-zero)
     live: np.ndarray
-    #: ``(n_rows, width - 1)`` cumulative-flux difference per segment
+    #: ``(n_segments,)`` live-row index of each stored segment, ascending
+    row: np.ndarray
+    #: ``(n_segments,)`` cumulative-flux difference per segment
     seg_flux: np.ndarray
-    #: ``(n_rows, width - 1)`` flat bin index of each segment midpoint
+    #: ``(n_segments,)`` flat bin index of each segment midpoint
     flat_idx: np.ndarray
-    #: ``(n_rows, width - 1)`` segment is inside the grid and non-empty
-    seg_ok: np.ndarray
 
     @property
     def n_rows(self) -> int:
-        return int(self.seg_flux.shape[0])
+        return int(np.count_nonzero(self.live))
+
+    @property
+    def n_segments(self) -> int:
+        return int(self.row.size)
 
     @property
     def nbytes(self) -> int:
         return int(
-            self.live.nbytes + self.seg_flux.nbytes
-            + self.flat_idx.nbytes + self.seg_ok.nbytes
+            self.live.nbytes + self.row.nbytes
+            + self.seg_flux.nbytes + self.flat_idx.nbytes
         )
 
 
@@ -201,7 +206,7 @@ class GeomEntry:
     #: raw max-intersections pre-pass bound (before the plane-count
     #: clamp); None until a pre-pass has run for this key
     width: Optional[int] = None
-    #: packed deposit arrays (built lazily by the batch kernel)
+    #: compacted deposit arrays (built lazily by the batch kernel)
     deposit: Optional[DepositPlan] = None
 
     @property

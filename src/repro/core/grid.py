@@ -123,20 +123,27 @@ class HKLGrid:
         are clipped into range and must be masked by the caller.
         """
         c = np.asarray(coords, dtype=np.float64)
-        mn = np.array(self.minimum)
-        w = self.widths
-        # floor semantics identical to Hist3.push: the upper boundary is
+        nb = self.bins
+        flat = inside = None
+        # One axis at a time, so no ``(..., 3)`` temporaries are built.
+        # Floor semantics identical to Hist3.push: the upper boundary is
         # exclusive (a point exactly at `maximum` is outside); both the
         # scalar and batch kernels must agree bin-for-bin.
-        idx = np.floor((c - mn) / w).astype(np.int64)
-        nb = np.array(self.bins)
-        inside = np.all((idx >= 0) & (idx < nb), axis=-1)
-        idx_clipped = np.clip(idx, 0, nb - 1)
-        flat = (
-            idx_clipped[..., 0] * (nb[1] * nb[2])
-            + idx_clipped[..., 1] * nb[2]
-            + idx_clipped[..., 2]
-        )
+        for axis, stride in enumerate((nb[1] * nb[2], nb[2], 1)):
+            t = np.asarray(c[..., axis] - self.minimum[axis])
+            t /= self.widths[axis]
+            idx = np.floor(t, out=t).astype(np.int64)
+            ok = (idx >= 0) & (idx < nb[axis])
+            # clip (``np.clip`` costs more per call on small inputs)
+            np.minimum(idx, nb[axis] - 1, out=idx)
+            np.maximum(idx, 0, out=idx)
+            if stride != 1:
+                idx *= stride
+            if flat is None:
+                flat, inside = idx, ok
+            else:
+                flat += idx
+                inside &= ok
         return flat, inside
 
     # -- constructors for the paper's cases ---------------------------------

@@ -208,8 +208,6 @@ def fill_crossings_batch(
     k_lo: np.ndarray,
     k_hi: np.ndarray,
     width: int,
-    *,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Padded per-trajectory crossing buffer, ready for the in-kernel sort.
 
@@ -218,11 +216,6 @@ def fill_crossings_batch(
     trailing duplicates form zero-length segments that deposit nothing.
     Rows with an empty window are entirely ``k_lo`` (also harmless).
     ``width`` must be at least ``max crossings + 2`` (use the pre-pass).
-
-    ``out`` may supply a caller-owned ``(n_rows, width)`` C-contiguous
-    float64 buffer to fill in place (the fused back end reuses one
-    across launches for allocation-free execution); the written values
-    are bit-identical to the allocating form.
     """
     d = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
     lo = np.asarray(k_lo, dtype=np.float64).reshape(-1)
@@ -231,17 +224,7 @@ def fill_crossings_batch(
     valid = hi > lo
     safe_hi = np.where(valid, hi, lo)
 
-    if out is None:
-        padded = np.broadcast_to(safe_hi[:, None], (n_rows, width)).copy()
-    else:
-        if (out.shape != (n_rows, width) or out.dtype != np.float64
-                or not out.flags.c_contiguous):
-            raise ValueError(
-                f"out buffer must be C-contiguous float64 {(n_rows, width)}, "
-                f"got {out.dtype} {out.shape}"
-            )
-        padded = out
-        padded[...] = safe_hi[:, None]
+    padded = np.broadcast_to(safe_hi[:, None], (n_rows, width)).copy()
     padded[:, 0] = lo
     cursor = np.ones(n_rows, dtype=np.int64)
 
@@ -275,6 +258,22 @@ def fill_crossings_batch(
     return padded
 
 
+def _fill_sort(
+    directions: np.ndarray,
+    grid: HKLGrid,
+    k_lo: np.ndarray,
+    k_hi: np.ndarray,
+    width: int,
+    sort_impl: str,
+) -> np.ndarray:
+    padded = fill_crossings_batch(directions, grid, k_lo, k_hi, width)
+    if sort_impl == "comb":
+        comb_sort_rows(padded)
+    else:
+        padded.sort(axis=1)
+    return padded
+
+
 def sorted_crossings_batch(
     directions: np.ndarray,
     grid: HKLGrid,
@@ -282,25 +281,21 @@ def sorted_crossings_batch(
     k_hi: np.ndarray,
     width: int,
     *,
-    sort_impl: str = "comb",
+    sort_impl: str = "library",
 ) -> np.ndarray:
     """Fill + row-sort in one step: the packed per-trajectory buffer.
 
-    This is the array the geometry cache's deposit plan is derived
-    from.  Rows are fully independent (fill and sort never look across
-    rows), so sorting the whole live set at once, a tile of it, or a
-    cached copy of it yields bit-identical values — the property that
-    lets the cache layer slice a stored buffer wherever a kernel would
-    have recomputed a tile.
+    ``sort_impl`` is ``"library"`` (``ndarray.sort``) or ``"comb"`` (the
+    paper's in-kernel comb sort, vectorized across rows).  Both sort
+    the same values, which contain no NaNs, so the sorted rows are
+    identical (a ``-0.0``/``0.0`` swap is invisible to everything
+    downstream).  Rows are fully independent (fill and sort never look
+    across rows), so sorting the whole live set at once or a tile of
+    it yields bit-identical values.
     """
     tracer = _trace.active_tracer()
     if not tracer.enabled:
-        padded = fill_crossings_batch(directions, grid, k_lo, k_hi, width)
-        if sort_impl == "comb":
-            comb_sort_rows(padded)
-        else:
-            padded.sort(axis=1)
-        return padded
+        return _fill_sort(directions, grid, k_lo, k_hi, width, sort_impl)
 
     n_rows = int(np.asarray(directions).reshape(-1, 3).shape[0])
     attrs = {"kind": "phase", "rows": n_rows, "width": int(width),
@@ -310,9 +305,4 @@ def sorted_crossings_batch(
 
         attrs["perf"] = intersections_work(n_rows, int(width))
     with tracer.span("intersections.fill_sort", **attrs):
-        padded = fill_crossings_batch(directions, grid, k_lo, k_hi, width)
-        if sort_impl == "comb":
-            comb_sort_rows(padded)
-        else:
-            padded.sort(axis=1)
-    return padded
+        return _fill_sort(directions, grid, k_lo, k_hi, width, sort_impl)

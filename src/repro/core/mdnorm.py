@@ -7,7 +7,9 @@ Each lane
 2. clips the momentum window to the grid box,
 3. collects every grid-plane crossing in that window
    ("calculate intersections ~(600x600x1)"),
-4. **sorts** them (comb sort — in-kernel, allocation-free),
+4. **sorts** them (comb sort in the element body — in-kernel,
+   allocation-free; the batch kernel row-sorts with ``ndarray.sort`` by
+   default, which yields the same values),
 5. **linearly interpolates** the cumulative incident flux over each
    sub-segment, and
 6. **appends** ``solid_angle x flux`` into the normalization histogram.
@@ -23,7 +25,7 @@ CPU back ends use the elegant ``parallel_reduce(op="max")`` directly.
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -236,6 +238,12 @@ def _live_rows(
     return live, directions[live], k_lo[live], k_hi[live], det_w[live]
 
 
+def _index_dtype(n: int) -> type:
+    """The narrowest of int32/int64 holding indices below ``n`` (deposit
+    plans store indices at this width; the values are unchanged)."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 def _segments(
     directions: np.ndarray,
     k_lo: np.ndarray,
@@ -248,44 +256,71 @@ def _segments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Listing 1's steps 3-5 for a block of live trajectories.
 
-    Returns per-segment ``(seg_flux, flat_idx, seg_ok)``, each
-    ``(rows, width - 1)``.  Rows are independent, so any row block of
-    the same trajectories yields the same values bit for bit.
+    Returns ``(row, seg_flux, flat_idx)`` of every non-empty segment
+    whose midpoint bins inside the grid, in row-major order; ``row``
+    indexes the block.  Only those segments are interpolated and
+    binned, so the values do not depend on the padded ``width``, and
+    rows are independent, so any row block of the same trajectories
+    yields the same values bit for bit.
     """
     padded = sorted_crossings_batch(
         directions, grid, k_lo, k_hi, width, sort_impl=sort_impl,
     )
-    phi = np.interp(padded, flux_k, flux_cum)
-    seg_lo = padded[:, :-1]
-    seg_hi = padded[:, 1:]
-    seg_flux = phi[:, 1:] - phi[:, :-1]
-    mid = 0.5 * (seg_lo + seg_hi)
-    coords = mid[:, :, None] * directions[:, None, :]
-    flat_idx, inside = grid.bin_index(coords)
-    return seg_flux, flat_idx, inside & (seg_hi > seg_lo)
+    # non-empty segments in row-major order (``np.nonzero`` order), as
+    # flat positions of their lower end in the padded buffer
+    k = np.flatnonzero(padded[:, 1:] > padded[:, :-1])
+    row = k // (width - 1)
+    pos = k + row
+    values = padded.reshape(-1)
+    lo = values[pos]
+    hi = values[pos + 1]
+    # Within a row the non-empty segments tile [k_lo, k_hi]: each one
+    # starts on the value the previous one ended on (only empty
+    # segments lie between), so its lower flux is that segment's upper
+    # one, bit for bit.  Only a row's first segment interpolates twice.
+    phi_hi = np.interp(hi, flux_k, flux_cum)
+    phi_lo = np.empty_like(phi_hi)
+    phi_lo[1:] = phi_hi[:-1]
+    first = np.ones(row.size, dtype=bool)
+    np.not_equal(row[1:], row[:-1], out=first[1:])
+    phi_lo[first] = np.interp(lo[first], flux_k, flux_cum)
+    seg_flux = phi_hi - phi_lo
+    mid = 0.5 * (lo + hi)
+    flat_idx, inside = grid.bin_index(mid[:, None] * directions[row])
+    if inside.all():
+        return row, seg_flux, flat_idx
+    return row[inside], seg_flux[inside], flat_idx[inside]
 
 
 def _deposits(
-    seg_flux: np.ndarray, flat_idx: np.ndarray, seg_ok: np.ndarray,
+    row: np.ndarray, seg_flux: np.ndarray, flat_idx: np.ndarray,
     det_w: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step 6's ``(flat_idx, weight)`` deposits of a block of segments,
-    in row-major scatter order."""
-    weights = seg_flux * det_w[:, None]
-    deposit = seg_ok & (weights != 0.0)
-    return flat_idx[deposit], weights[deposit]
+    in scatter order; ``det_w`` is indexed by ``row``."""
+    weights = seg_flux * det_w[row]
+    keep = weights != 0.0
+    if keep.all():
+        return flat_idx, weights
+    return flat_idx[keep], weights[keep]
 
 
 def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
-    """Device realization: stream-compacted rows, lane-parallel comb
-    sort, vectorized flux interpolation, atomic scatter-add.
+    """Device realization: stream-compacted rows, lane-parallel row
+    sort, flux interpolation of the non-empty segments only, atomic
+    scatter-add.
 
     When the geometry cache holds a :class:`DepositPlan` for this
     configuration the fill/sort/interpolate/bin-search pipeline is
     skipped entirely: the warm path multiplies the cached per-segment
-    fluxes by ``solid_angle x charge`` and scatter-adds.  The plan
-    arrays are row-independent, so slicing them per tile reproduces the
-    cold path's scatter sequence bit for bit.
+    fluxes by ``solid_angle x charge`` and scatter-adds.  The stored
+    segments are split at the cold pass's row tiles, so the warm
+    scatter sequence (and each ``buffered`` tile sum) is the cold one
+    bit for bit.
+
+    Records ``ctx.live_segments`` (segments deposited from, before the
+    zero-weight drop) and ``ctx.segment_slots`` (padded slots filled;
+    0 on a warm launch) for the op span.
     """
     n_ops, n_det = dims
     grid: HKLGrid = ctx.grid
@@ -298,19 +333,19 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     entry: Optional[GeomEntry] = getattr(ctx, "geom_entry", None)
     use_plan: bool = getattr(ctx, "use_plan", False)
     plan = entry.deposit if (entry is not None and use_plan) else None
-    if plan is not None and plan.width != width:
-        plan = None  # caller forced a different buffer width
 
     if plan is not None:
         # ---- warm path: cached segment fluxes + bin indices ----------
         det_w_live = det_w[plan.live]
-        for start in range(0, plan.n_rows, tile):
-            stop = min(start + tile, plan.n_rows)
+        n_rows = det_w_live.size
+        cuts = np.searchsorted(plan.row, np.arange(0, n_rows + tile, tile))
+        for a, b in zip(cuts[:-1], cuts[1:]):
             idx, weights = _deposits(
-                plan.seg_flux[start:stop], plan.flat_idx[start:stop],
-                plan.seg_ok[start:stop], det_w_live[start:stop],
+                plan.row[a:b], plan.seg_flux[a:b], plan.flat_idx[a:b],
+                det_w_live,
             )
             Hist3._scatter(target, idx, weights, ctx.scatter_impl)
+        ctx.live_segments, ctx.segment_slots = plan.n_segments, 0
         return
 
     live, directions, k_lo, k_hi, det_w = _live_rows(
@@ -318,75 +353,75 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
         ctx.k_hi.reshape(-1), det_w,
     )
     n_rows = directions.shape[0]
+    ctx.live_segments, ctx.segment_slots = 0, n_rows * (width - 1)
     if n_rows == 0:
         return
 
-    # collect the deposit plan alongside the cold pass when it can fit
-    collect = None
-    if use_plan and entry is not None:
-        plan_bytes = live.nbytes + n_rows * (width - 1) * (8 + 8 + 1)
-        if ctx.geom_cache.accepts(plan_bytes):
-            collect = DepositPlan(
-                width=width,
-                live=live,
-                seg_flux=np.empty((n_rows, width - 1), dtype=np.float64),
-                flat_idx=np.empty((n_rows, width - 1), dtype=np.int64),
-                seg_ok=np.empty((n_rows, width - 1), dtype=bool),
-            )
-
+    # collect the deposit plan alongside the cold pass
+    collect = use_plan and entry is not None
+    parts = []
     for start in range(0, n_rows, tile):
         stop = min(start + tile, n_rows)
-        seg_flux, flat_idx, seg_ok = _segments(
+        row, seg_flux, flat_idx = _segments(
             directions[start:stop], k_lo[start:stop], k_hi[start:stop],
             grid, ctx.flux_k, ctx.flux_cum, width, ctx.sort_impl,
         )
-        if collect is not None:
-            collect.seg_flux[start:stop] = seg_flux
-            collect.flat_idx[start:stop] = flat_idx
-            collect.seg_ok[start:stop] = seg_ok
-        idx, weights = _deposits(seg_flux, flat_idx, seg_ok, det_w[start:stop])
+        ctx.live_segments += row.size
+        if collect:
+            parts.append((row + start, seg_flux, flat_idx))
+        idx, weights = _deposits(row, seg_flux, flat_idx, det_w[start:stop])
         Hist3._scatter(target, idx, weights, ctx.scatter_impl)
 
-    if collect is not None:
-        for name in ("live", "seg_flux", "flat_idx", "seg_ok"):
-            getattr(collect, name).flags.writeable = False
-        entry.deposit = collect
-        ctx.geom_cache.note_update(entry)
+    if collect:
+        row, seg_flux, flat_idx = (np.concatenate(p) for p in zip(*parts))
+        plan = DepositPlan(
+            live=_gc.freeze(live),
+            row=_gc.freeze(row.astype(_index_dtype(n_rows))),
+            seg_flux=_gc.freeze(seg_flux),
+            flat_idx=_gc.freeze(flat_idx.astype(_index_dtype(grid.n_bins_total))),
+        )
+        if ctx.geom_cache.accepts(plan.nbytes):
+            entry.deposit = plan
+            ctx.geom_cache.note_update(entry)
 
 
 def mdnorm_deposits(
-    ctx: Captures, n: int, a: int, b: int
-) -> tuple[np.ndarray, np.ndarray, None]:
-    """The batch kernel's deposit log for op ``n`` over detectors
-    ``[a, b)``: ``(flat_idx, weight, None)`` in scatter order.
+    ctx: Captures, a: int, b: int
+) -> List[tuple[np.ndarray, np.ndarray, None]]:
+    """The batch kernel's deposit logs over detectors ``[a, b)``: one
+    ``(flat_idx, weight, None)`` per op, in scatter order.
 
-    Same stream compaction and per-tile math as the cold path of
-    :func:`_mdnorm_batch`, returned instead of scattered.  Logs taken
-    op-major over ascending contiguous detector ranges concatenate to
-    that kernel's exact deposit sequence, so replaying them with
-    ``np.add.at`` is bit-identical to the unsharded batch kernel.
-    ``ctx`` carries ``grid``, ``directions``, ``k_lo``, ``k_hi``,
-    ``solid_angles``, ``charge``, ``flux_k``, ``flux_cum`` and
-    ``width``.
+    Same stream compaction and segment math as the cold path of
+    :func:`_mdnorm_batch`, over every op at once, returned instead of
+    scattered.  Logs taken op-major over ascending contiguous detector
+    ranges concatenate to that kernel's exact deposit sequence, so
+    replaying them with ``np.add.at`` is bit-identical to the unsharded
+    batch kernel.  ``ctx`` carries ``grid``, ``directions``, ``k_lo``,
+    ``k_hi``, ``solid_angles``, ``charge``, ``flux_k``, ``flux_cum``
+    and ``width``.
     """
-    _, directions, k_lo, k_hi, det_w = _live_rows(
-        ctx.directions[n, a:b], ctx.k_lo[n, a:b], ctx.k_hi[n, a:b],
-        ctx.solid_angles[a:b] * ctx.charge,
+    n_ops = ctx.directions.shape[0]
+    det_w = np.broadcast_to(ctx.solid_angles[a:b], (n_ops, b - a)).reshape(-1)
+    live, directions, k_lo, k_hi, det_w = _live_rows(
+        ctx.directions[:, a:b].reshape(-1, 3), ctx.k_lo[:, a:b].reshape(-1),
+        ctx.k_hi[:, a:b].reshape(-1), det_w * ctx.charge,
     )
-    idx_parts, w_parts = [], []
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64))]
     for start in range(0, directions.shape[0], DEFAULT_TILE_ROWS):
         stop = start + DEFAULT_TILE_ROWS
-        idx, weights = _deposits(
-            *_segments(directions[start:stop], k_lo[start:stop],
-                       k_hi[start:stop], ctx.grid, ctx.flux_k, ctx.flux_cum,
-                       ctx.width, "comb"),
-            det_w[start:stop],
+        row, seg_flux, flat_idx = _segments(
+            directions[start:stop], k_lo[start:stop], k_hi[start:stop],
+            ctx.grid, ctx.flux_k, ctx.flux_cum, ctx.width, "library",
         )
-        idx_parts.append(idx)
-        w_parts.append(weights)
-    if not idx_parts:
-        return np.empty(0, dtype=np.int64), np.empty(0), None
-    return np.concatenate(idx_parts), np.concatenate(w_parts), None
+        parts.append((row + start, seg_flux, flat_idx))
+    row, seg_flux, flat_idx = (np.concatenate(p) for p in zip(*parts))
+    # live rows are op-major: cut the segments at each op's first row
+    op_rows = np.concatenate(([0], np.cumsum(live.reshape(n_ops, -1).sum(axis=1))))
+    cuts = np.searchsorted(row, op_rows)
+    return [
+        (*_deposits(row[c0:c1], seg_flux[c0:c1], flat_idx[c0:c1], det_w), None)
+        for c0, c1 in zip(cuts[:-1], cuts[1:])
+    ]
 
 
 MDNORM_KERNEL = Kernel(name="mdnorm", element=_mdnorm_element, batch=_mdnorm_batch)
@@ -402,7 +437,7 @@ def mdnorm(
     *,
     charge: float = 1.0,
     backend: Optional[str] = None,
-    sort_impl: str = "comb",
+    sort_impl: str = "library",
     scatter_impl: str = "atomic",
     tile_rows: int = DEFAULT_TILE_ROWS,
     width: Optional[int] = None,
@@ -431,8 +466,10 @@ def mdnorm(
     charge:
         The run's proton charge (scales the flux).
     sort_impl:
-        "comb" (the paper's in-kernel sort) or "library" (the ablation
-        alternative) — device back end only.
+        Row sort of the batch kernel: "library" (``ndarray.sort``, the
+        default) or "comb" (the paper's in-kernel comb sort, kept for
+        the Fig. 2 ablation).  Both give the same sorted values, so the
+        histogram is identical; the element bodies always comb-sort.
     scatter_impl:
         "atomic" or "buffered" histogram accumulation (device back end
         only; see :meth:`Hist3.push_many`).
@@ -523,14 +560,8 @@ def mdnorm(
         warm_plan = bool(
             use_plan and entry is not None and entry.deposit is not None
         )
+        plan_bytes = entry.deposit.nbytes if warm_plan else None
         op_span.set(width=int(width), warm_plan=warm_plan)
-        if tracer.profile:
-            from repro.util.perf import mdnorm_work
-
-            op_span.set(perf=mdnorm_work(
-                int(transforms.shape[0]), int(det_directions.shape[0]),
-                int(width), warm_plan=warm_plan,
-            ))
         captures = Captures(
             hist=hist,
             grid=grid,
@@ -552,6 +583,20 @@ def mdnorm(
             use_plan=use_plan,
         )
         parallel_for(directions.shape[:2], MDNORM_KERNEL, captures, backend=backend)
+        # the batch kernel reports the segments it actually deposited
+        # from; the element bodies leave the cost model's padded bound
+        segments = getattr(captures, "live_segments", None)
+        if segments is not None:
+            op_span.set(live_segments=segments,
+                        segment_slots=captures.segment_slots)
+        if tracer.profile:
+            from repro.util.perf import mdnorm_work
+
+            op_span.set(perf=mdnorm_work(
+                int(transforms.shape[0]), int(det_directions.shape[0]),
+                int(width), warm_plan=warm_plan, segments=segments,
+                plan_bytes=plan_bytes,
+            ))
         tracer.count("mdnorm.trajectories",
                       int(transforms.shape[0]) * int(det_directions.shape[0]))
     return hist

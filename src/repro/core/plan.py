@@ -22,7 +22,7 @@ Example plan::
         "bins": [151, 151, 1]
       },
       "implementation": "minivates",
-      "backend_options": {"sort_impl": "comb", "scatter_impl": "atomic"}
+      "backend_options": {"sort_impl": "library", "scatter_impl": "atomic"}
     }
 
 Relative paths resolve against the plan file's directory, so a dataset

@@ -14,8 +14,8 @@ non-associative, so per-shard partial histograms would drift in the
 last ulp and depend on the shard count.  Shards therefore do not
 accumulate — they **log**: every shard task runs the kernel's batch
 deposit function (:func:`repro.core.mdnorm.mdnorm_deposits` /
-:func:`repro.core.binmd.binmd_deposits`) once per op over its
-contiguous index range and returns one ``(flat_idx, weight[, err_sq])``
+:func:`repro.core.binmd.binmd_deposits`) once over its contiguous
+index range, which returns one ``(flat_idx, weight[, err_sq])``
 deposit log *per op*.  The parent replays the logs with ``np.add.at``
 (unbuffered, element-order-sequential) interleaved as
 
@@ -146,8 +146,8 @@ class ShardConfig:
 # ---------------------------------------------------------------------------
 
 def _shard_body(task: Dict[str, Any], ctx: Captures) -> List[Log]:
-    """One shard's deposit logs: the kernel's batch deposit function
-    (``task["element"]``) once per op over the shard's index range."""
+    """One shard's deposit logs, one per op: the kernel's batch deposit
+    function (``task["element"]``) over the shard's index range."""
     deposit = task["element"]
     a, b = task["range"]
     window = task.get("window")
@@ -157,7 +157,7 @@ def _shard_body(task: Dict[str, Any], ctx: Captures) -> List[Log]:
         # global (a, b) range of the full table, so the same logs
         ctx = Captures(**{**vars(ctx), "events": window})
         a, b = 0, int(window.shape[0])
-    return [deposit(ctx, n, a, b) for n in range(int(task["n_outer"]))]
+    return deposit(ctx, a, b)
 
 
 def _shard_worker(task: Dict[str, Any]) -> List[Log]:
@@ -196,8 +196,9 @@ class ShardContext:
     op_name: str
     hist: Hist3
     captures: Captures
-    #: the kernel's batch deposit function, ``deposit(ctx, n, a, b)``
-    deposit: Callable[..., Log]
+    #: the kernel's batch deposit function, ``deposit(ctx, a, b)``: one
+    #: log per op over the inner range ``[a, b)``
+    deposit: Callable[..., List[Log]]
     n_outer: int
     #: planned contiguous ranges of the inner axis (index = planned id)
     ranges: List[Tuple[int, int]]

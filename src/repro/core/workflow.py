@@ -51,8 +51,9 @@ class WorkflowConfig:
     point_group: PointGroup
     #: jacc back end name; None = process default
     backend: Optional[str] = None
-    #: in-kernel sort: "comb" (paper) or "library" (ablation)
-    sort_impl: str = "comb"
+    #: batch-kernel row sort: "library" (``ndarray.sort``) or "comb" (the
+    #: paper's in-kernel sort, for the Fig. 2 ablation); same values
+    sort_impl: str = "library"
     #: geometry cache shared across runs/panels/re-reductions; None =
     #: the process default, ``repro.core.geom_cache.DISABLED`` opts out
     geom_cache: Optional[GeomCache] = None

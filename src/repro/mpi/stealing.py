@@ -333,7 +333,7 @@ def run_stealing_campaign(
     *,
     comm: Optional[Comm] = None,
     backend: Optional[str] = None,
-    sort_impl: str = "comb",
+    sort_impl: str = "library",
     scatter_impl: str = "atomic",
     timings: Optional[StageTimings] = None,
     binmd_impl: Optional[Callable] = None,
@@ -363,8 +363,9 @@ def run_stealing_campaign(
             "machinery; kernel *_impl overrides are not stealable — use "
             "executor='static'"
         )
-    # shard logs replay through np.add.at with the comb-sorted batch
-    # kernels; the unsharded kernels' sort/scatter options do not apply
+    # shard logs replay through np.add.at with the batch kernels'
+    # library row sort; the unsharded kernels' sort/scatter options do
+    # not apply
     del sort_impl, scatter_impl
     comm = comm or SequentialComm()
     cache = _gc.resolve(cache)
@@ -414,6 +415,12 @@ def run_stealing_campaign(
         state.queue.register_rank(comm.rank)
         if monitor.enabled:
             monitor.assign_runs(comm.rank, state.queue.own_depth(comm.rank))
+        # every rank starts on its own first task, claimed before any
+        # rank may steal: which rank thread the OS runs first can then
+        # never leave a rank without work it was planned to hold
+        first = state.queue.claim_own(comm.rank)
+        if comm.size > 1:
+            comm.Barrier()
 
         exec_env = _ExecEnv(
             state=state, grid=grid, point_group=point_group, flux=flux,
@@ -425,7 +432,7 @@ def run_stealing_campaign(
 
         crashed = False
         try:
-            _work_loop(exec_env, comm.rank, helper=False)
+            _work_loop(exec_env, comm.rank, helper=False, first=first)
         except _faults.RankCrashError:
             if comm.size == 1:
                 raise  # a lone rank cannot recover from its own death
@@ -642,7 +649,10 @@ class _ExecEnv:
     comm: Comm
 
 
-def _work_loop(env: _ExecEnv, rank: int, *, helper: bool) -> None:
+def _work_loop(env: _ExecEnv, rank: int, *, helper: bool,
+               first: Optional[StealTask] = None) -> None:
+    """Drain the queue as ``rank``; ``first`` is a task the rank already
+    claimed from its own deque, executed before the first acquire."""
     state = env.state
     q = state.queue
     ctl = state.controller
@@ -659,19 +669,21 @@ def _work_loop(env: _ExecEnv, rank: int, *, helper: bool) -> None:
                     "steal.lifecycle", "rank_crash", 0
                 )
         if leaving:
-            # drain-and-requeue: current task (if any) already finished;
-            # the rest of this rank's deque becomes orphan work
-            q.deregister_rank(rank)
+            # drain-and-requeue: the current task (if any) already
+            # finished; an unstarted ``first`` claim goes back to the
+            # head of the deque, which becomes orphan work
+            q.release_rank(rank)
             tracer.count("steal.leaves")
             return
 
-        victims = q.remaining_weights(exclude=rank)
-        own_depth = q.own_depth(rank)
-        victim = None
-        if own_depth or victims:
-            victim = ctl.acquire(rank, own_depth, victims)
-        task = None
+        task, first = first, None
         stolen = False
+        victim = None
+        if task is None:
+            victims = q.remaining_weights(exclude=rank)
+            own_depth = q.own_depth(rank)
+            if own_depth or victims:
+                victim = ctl.acquire(rank, own_depth, victims)
         if victim is not None:
             task = q.claim_steal(rank, victim)
             stolen = task is not None

@@ -51,7 +51,7 @@ from repro.util.validation import ValidationError, require
 def cpp_bin_md(hist: Hist3, events: EventTable, transforms: np.ndarray) -> Hist3:
     """BinMD via primitive flat-index arrays and ``bincount``.
 
-    Per symmetry op: one fused transform over all events, flat bin
+    Per symmetry op: one transform over all events, flat bin
     indices as a primitive int64 array, and a single ``bincount``
     accumulation — the index-array strategy of the C++ proxy.
     """

@@ -80,8 +80,8 @@ FLOPS_PER_TRAJ = 20.0
 
 #: warm deposit-plan replay per segment: cached flux x weight + scatter
 WARM_FLOPS_PER_SEGMENT = 2.0
-#: warm reads per segment: seg_flux (8) + flat_idx (8) + seg_ok (1)
-WARM_BYTES_PER_SEGMENT_READ = 17.0
+#: warm reads per stored segment: row (4) + seg_flux (8) + flat_idx (4)
+WARM_BYTES_PER_SEGMENT_READ = 16.0
 
 
 def binmd_work(
@@ -121,18 +121,24 @@ def mdnorm_work(
     width: int,
     *,
     warm_plan: bool = False,
+    segments: Optional[int] = None,
+    plan_bytes: Optional[int] = None,
 ) -> Dict[str, float]:
     """Cost-model work of one MDNorm launch.
 
     ``width`` is the padded intersection-buffer width (pre-pass bound
-    + 2 endpoints); segments per trajectory are ``width - 1`` and
-    plane crossings are bounded by ``width - 2``.  A warm launch
-    (cached :class:`~repro.core.geom_cache.DepositPlan`) skips the
-    fill/sort/interpolate pipeline entirely and replays cached segment
-    fluxes.
+    + 2 endpoints); plane crossings are bounded by ``width - 2``.
+    ``segments`` is the number of segments the launch deposited from,
+    when the kernel reported it; otherwise the padded bound of
+    ``width - 1`` per trajectory is used.  A warm launch (cached
+    :class:`~repro.core.geom_cache.DepositPlan`) skips the
+    fill/sort/interpolate pipeline entirely and reads the plan:
+    ``plan_bytes`` when given, else the per-segment plan layout.
     """
     traj = float(n_ops) * float(n_det)
-    segments = traj * float(max(int(width) - 1, 0))
+    if segments is None:
+        segments = traj * float(max(int(width) - 1, 0))
+    segments = float(segments)
     crossings = traj * float(max(int(width) - 2, 0))
     if warm_plan:
         return {
@@ -140,7 +146,8 @@ def mdnorm_work(
             "intersections": crossings,
             "segments": segments,
             "bins_touched": segments,
-            "bytes_read": segments * WARM_BYTES_PER_SEGMENT_READ,
+            "bytes_read": float(plan_bytes) if plan_bytes is not None
+            else segments * WARM_BYTES_PER_SEGMENT_READ,
             "bytes_written": segments * BYTES_PER_SEGMENT_WRITE,
             "flops": segments * WARM_FLOPS_PER_SEGMENT,
         }
@@ -491,6 +498,22 @@ class PerfModel:
                 f"{k.intersections_per_s:.6g}",
             ])
         return buf.getvalue()
+
+
+def mdnorm_padding(records: Sequence[Dict[str, Any]]) -> Dict[str, float]:
+    """How much of the padded intersection buffer the MDNorm batch
+    kernel actually deposited from: ``live_segments`` over
+    ``segment_slots`` summed over the ``mdnorm`` op spans that filled a
+    buffer (warm launches replay the compacted plan and fill none)."""
+    live = slots = 0.0
+    for rec in records:
+        attrs = rec.get("attrs")
+        if (rec.get("type", "span") == "span" and rec.get("name") == "mdnorm"
+                and isinstance(attrs, dict) and attrs.get("segment_slots")):
+            live += float(attrs["live_segments"])
+            slots += float(attrs["segment_slots"])
+    return {"live_segments": live, "segment_slots": slots,
+            "pad_efficiency": live / slots if slots else 0.0}
 
 
 # ---------------------------------------------------------------------------

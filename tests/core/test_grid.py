@@ -82,6 +82,56 @@ class TestBinIndex:
         assert inside.shape == (3, 5)
 
 
+def _bin_index_3d(grid, coords):
+    """The ``(n, 3)``-temporary form of ``bin_index`` (the reference the
+    per-axis implementation must match bit for bit)."""
+    c = np.asarray(coords, dtype=np.float64)
+    idx = np.floor((c - np.array(grid.minimum)) / grid.widths).astype(np.int64)
+    nb = np.array(grid.bins)
+    inside = np.all((idx >= 0) & (idx < nb), axis=-1)
+    idx = np.clip(idx, 0, nb - 1)
+    flat = idx[..., 0] * (nb[1] * nb[2]) + idx[..., 1] * nb[2] + idx[..., 2]
+    return flat, inside
+
+
+class TestBinIndexReference:
+    @pytest.mark.parametrize("grid", (
+        HKLGrid.benzil_grid(),
+        HKLGrid.bixbyite_grid(bins=(61, 47, 3)),
+        HKLGrid(basis=np.eye(3), minimum=(-0.3, 0.1, -2.0),
+                maximum=(0.7, 0.35, 5.0), bins=(7, 1, 13)),
+    ), ids=("benzil", "bixbyite", "odd"))
+    def test_matches_three_column_form(self, grid):
+        rng = np.random.default_rng(5)
+        mn, mx = np.array(grid.minimum), np.array(grid.maximum)
+        span = mx - mn
+        pts = [rng.uniform(mn - 0.1 * span, mx + 0.1 * span, size=(4000, 3))]
+        # points exactly on the box faces, on every edge plane, and one
+        # ulp either side of minimum / maximum
+        for axis in range(3):
+            on = rng.uniform(mn, mx, size=(3 * len(grid.edges[axis]) + 6, 3))
+            edges = grid.edges[axis]
+            on[:len(edges), axis] = edges
+            n = len(edges)
+            on[n:2 * n, axis] = np.nextafter(edges, -np.inf)
+            on[2 * n:3 * n, axis] = np.nextafter(edges, np.inf)
+            on[-6:, axis] = [mn[axis], mx[axis],
+                             np.nextafter(mn[axis], -np.inf),
+                             np.nextafter(mn[axis], np.inf),
+                             np.nextafter(mx[axis], -np.inf),
+                             np.nextafter(mx[axis], np.inf)]
+            pts.append(on)
+        coords = np.concatenate(pts)
+        for shaped in (coords, coords[:4000].reshape(40, 100, 3), coords[7]):
+            flat, inside = grid.bin_index(shaped)
+            ref_flat, ref_inside = _bin_index_3d(grid, shaped)
+            assert flat.shape == ref_flat.shape and flat.dtype == ref_flat.dtype
+            assert np.array_equal(flat, ref_flat)
+            assert np.array_equal(inside, ref_inside)
+        _, inside = grid.bin_index(np.array([mn, mx]))
+        assert inside.tolist() == [True, False]
+
+
 class TestProjection:
     def test_benzil_basis_maps_110_to_first_axis(self):
         grid = HKLGrid.benzil_grid(bins=(10, 10, 1))

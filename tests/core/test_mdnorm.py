@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core import geom_cache as gc
+from repro.core.geom_cache import GeomCache, GeomEntry
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
-from repro.core.mdnorm import max_intersections, mdnorm
+from repro.core.mdnorm import DEFAULT_TILE_ROWS, max_intersections, mdnorm
 from repro.nexus.corrections import FluxSpectrum
+from repro.util import trace
+from repro.util.perf import mdnorm_padding
 from repro.util.validation import ValidationError
 
 BACKENDS = ("serial", "threads", "vectorized")
@@ -176,3 +180,117 @@ class TestValidation:
     def test_det_direction_shape(self, grid, flux):
         with pytest.raises(ValidationError, match="det_directions"):
             mdnorm(Hist3(grid), IDENT, np.ones(5), np.ones(5), flux, BAND)
+
+
+#: identity + two proper rotations (z 90deg, x 180deg)
+OPS3 = np.stack([
+    np.eye(3),
+    np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]),
+])
+
+
+class TestBatchPath:
+    """The one vectorized MDNorm path: scheduling knobs, the row sort
+    and the deposit plan never change a bit of the histogram."""
+
+    @pytest.fixture()
+    def case(self):
+        # a coarse grid under many trajectories: every bin collects
+        # deposits from many rows of one tile, so a warm launch that
+        # summed different tiles than the cold one would show
+        grid = HKLGrid(basis=np.eye(3), minimum=(-2.0, -2.0, -0.5),
+                       maximum=(2.0, 2.0, 0.5), bins=(5, 5, 1))
+        rng = np.random.default_rng(11)
+        flux = FluxSpectrum(momentum=np.linspace(1.0, 12.0, 64),
+                            density=1.0 + rng.random(64))
+        dets = _detectors(200, seed=4)
+        solid = rng.random(200)
+        solid[::7] = 0.0  # zero-weight detectors drop out
+        return grid, flux, dets, solid
+
+    def _run(self, case, **kwargs):
+        grid, flux, dets, solid = case
+        kwargs.setdefault("cache", gc.DISABLED)
+        h = Hist3(grid, track_errors=True)
+        mdnorm(h, OPS3, dets, solid, flux, BAND, backend="vectorized",
+               charge=2.5, **kwargs)
+        return h
+
+    @pytest.mark.parametrize("scatter_impl", ("atomic", "buffered"))
+    @pytest.mark.parametrize("tile_rows", (1, 7, DEFAULT_TILE_ROWS))
+    def test_knobs_and_plan_are_bit_identical(self, case, scatter_impl, tile_rows):
+        grid, flux, dets, solid = case
+        prepass = max_intersections(grid, OPS3, dets, BAND, backend="vectorized")
+        ref = self._run(case, tile_rows=tile_rows, scatter_impl=scatter_impl,
+                        sort_impl="comb")
+        assert ref.signal.sum() > 0
+        for sort_impl in ("comb", "library"):
+            for width in (prepass, prepass + 5, grid.max_plane_crossings):
+                got = self._run(case, tile_rows=tile_rows, width=width,
+                                scatter_impl=scatter_impl, sort_impl=sort_impl)
+                assert np.array_equal(got.signal, ref.signal), (sort_impl, width)
+            cache = GeomCache()
+            for label in ("cold", "warm"):
+                got = self._run(case, tile_rows=tile_rows, cache=cache,
+                                scatter_impl=scatter_impl, sort_impl=sort_impl)
+                assert np.array_equal(got.signal, ref.signal), (sort_impl, label)
+            (entry,) = _geometry(cache)
+            assert entry.deposit is not None
+
+    def test_atomic_scatter_is_tile_invariant(self, case):
+        hists = [self._run(case, tile_rows=t) for t in (1, 7, 4096)]
+        for h in hists[1:]:
+            assert np.array_equal(h.signal, hists[0].signal)
+
+    def test_warm_plan_is_compact(self, case):
+        cache = GeomCache()
+        self._run(case, cache=cache)
+        (entry,) = _geometry(cache)
+        plan = entry.deposit
+        assert plan.n_segments == plan.seg_flux.size == plan.flat_idx.size
+        assert np.all(np.diff(plan.row) >= 0)  # row-major deposit order
+        assert plan.row.max() < plan.n_rows == int(plan.live.sum())
+        assert np.all((plan.flat_idx >= 0) & (plan.flat_idx < case[0].n_bins_total))
+        assert not plan.row.flags.writeable and not plan.seg_flux.flags.writeable
+
+    def test_no_plan_at_explicit_width(self, case):
+        cache = GeomCache()
+        self._run(case, cache=cache, width=case[0].max_plane_crossings)
+        assert all(e.deposit is None for e in _geometry(cache))
+
+    def test_no_plan_at_zero_charge(self, case):
+        grid, flux, dets, solid = case
+        cache = GeomCache()
+        for _ in range(2):
+            h = Hist3(grid)
+            mdnorm(h, OPS3, dets, solid, flux, BAND, backend="vectorized",
+                   charge=0.0, cache=cache)
+            assert h.total() == 0.0
+        assert all(e.deposit is None for e in _geometry(cache))
+
+    def test_op_span_records_live_segments(self, case):
+        cache = GeomCache()
+        tracer = trace.Tracer(label="mdnorm-segments", profile=True)
+        with trace.use_tracer(tracer):
+            for _ in range(2):
+                self._run(case, cache=cache)
+        spans = [r["attrs"] for r in tracer.records
+                 if r.get("type") == "span" and r["name"] == "mdnorm"]
+        cold, warm = spans
+        (entry,) = _geometry(cache)
+        assert not cold["warm_plan"] and warm["warm_plan"]
+        assert cold["live_segments"] == warm["live_segments"] == entry.deposit.n_segments
+        assert 0 < cold["live_segments"] <= cold["segment_slots"]
+        assert warm["segment_slots"] == 0
+        assert warm["perf"]["segments"] == entry.deposit.n_segments
+        assert warm["perf"]["bytes_read"] == entry.deposit.nbytes
+        pad = mdnorm_padding(tracer.records)
+        assert pad["live_segments"] == cold["live_segments"]
+        assert pad["segment_slots"] == cold["segment_slots"]
+        assert 0.0 < pad["pad_efficiency"] <= 1.0
+
+
+def _geometry(cache):
+    entries = [cache.peek(k) for k in cache.keys()]
+    return [e for e in entries if isinstance(e, GeomEntry)]

@@ -32,6 +32,7 @@ oracle carries one).
 """
 
 import json
+import time
 from dataclasses import dataclass
 from typing import List
 
@@ -393,6 +394,30 @@ class TestAdversarialSchedules:
         assert res.extras["recovery"]["failed_ranks"] == [1]
         cells = _completed_cells(tracer.records)
         assert cells == {key: 1 for key in _planned_cells()}
+
+    def test_death_holding_claimed_work_when_rank_starts_last(
+            self, exp, golden, steal_baseline, monkeypatch):
+        """The crash still lands on rank 1 when its thread reaches the
+        queue long after its peers: every rank claims its own first
+        task before any rank may steal."""
+        register = StealQueue.register_rank
+
+        def late_register(queue, rank):
+            if rank == 1:
+                time.sleep(0.5)  # the peers could drain everything meanwhile
+            register(queue, rank)
+
+        monkeypatch.setattr(StealQueue, "register_rank", late_register)
+        plan = FaultPlan(
+            [FaultSpec(site="steal.task", kind="rank_crash",
+                       probability=1.0, ranks=(1,), max_hits=1)],
+            seed=19,
+        )
+        ctl = ScheduleController(seed=19, policy="all-steal")
+        res = _steal_world(exp, 3, ctl, plan=plan)
+        assert plan.stats()["injected"] == 1
+        _assert_identical(res, golden, steal_baseline)
+        assert res.extras["recovery"]["failed_ranks"] == [1]
 
     def test_birth_after_death(self, exp, golden, steal_baseline):
         """The elastic extremes composed: a rank dies, a replacement

@@ -406,8 +406,7 @@ def test_future_backends_auto_register():
 
 def test_matrix_covers_all_expected_backends():
     """The engines ISSUE 5 names are all present in the matrix rows."""
-    assert {"serial", "threads", "vectorized", "multiprocess",
-            "fused"} <= set(BACKENDS)
+    assert {"serial", "threads", "vectorized", "multiprocess"} <= set(BACKENDS)
     for name in BACKENDS:
         assert isinstance(get_backend(name), Backend)
 

@@ -116,3 +116,68 @@ class TestGlobalCacheIntegration:
         after_second = len(GLOBAL_JIT.compile_events)
         assert after_first == before + 1
         assert after_second == after_first
+
+
+class TestJITCacheKeyCollision:
+    """Cache keys are ``(kernel name, backend, variant)``, but the cached
+    object is a loop shell taking the kernel body per call: two kernels
+    sharing a name with different bodies must each run their own."""
+
+    def test_same_name_different_batch_bodies(self):
+        def batch_a(ctx, dims):
+            ctx.out[...] = ctx.x + 1.0
+
+        def batch_b(ctx, dims):
+            ctx.out[...] = ctx.x * 10.0
+
+        x = np.arange(4.0)
+        results = {}
+        for body in (batch_a, batch_b):
+
+            def element(ctx, i, _body=body):
+                tmp = np.empty(1)
+                _body(make_captures(x=ctx.x[i:i + 1], out=tmp), (1,))
+                ctx.out[i] = tmp[0]
+
+            k = Kernel(name="collide_probe", element=element, batch=body)
+            out = np.zeros(4)
+            parallel_for(4, k, make_captures(x=x, out=out),
+                         backend="vectorized")
+            results[body.__name__] = out.copy()
+        # the second launch hit the cached trampoline under the SAME
+        # (name, backend, "launch") key — it must still run batch_b
+        assert np.array_equal(results["batch_a"], x + 1.0)
+        assert np.array_equal(results["batch_b"], x * 10.0)
+
+    def test_same_name_different_element_closures(self):
+        cache = JITCache()
+        loop1 = cache.loop_for("collide_probe", "serial", 1)
+        loop2 = cache.loop_for("collide_probe", "serial", 1)
+        assert loop1 is loop2  # one cache entry...
+        out = np.zeros(3)
+
+        def elem_add(ctx, i):
+            ctx.out[i] = ctx.x[i] + 2.0
+
+        def elem_mul(ctx, i):
+            ctx.out[i] = ctx.x[i] * 5.0
+
+        x = np.arange(3.0)
+        loop1(elem_add, make_captures(x=x, out=out), (3,))
+        assert np.array_equal(out, x + 2.0)
+        loop2(elem_mul, make_captures(x=x, out=out), (3,))
+        assert np.array_equal(out, x * 5.0)  # ...but per-call bodies
+        assert len(cache.compile_events) == 1
+
+    def test_reduce_loops_take_combine_per_call(self):
+        cache = JITCache()
+        loop = cache.loop_reduce("collide_probe", "serial", 1)
+
+        def elem(ctx, i):
+            return float(ctx.x[i])
+
+        x = np.array([3.0, 1.0, 2.0])
+        total = loop(elem, make_captures(x=x), (3,), lambda a, b: a + b, 0.0)
+        peak = loop(elem, make_captures(x=x), (3,), max, float("-inf"))
+        assert total == 6.0
+        assert peak == 3.0

@@ -24,7 +24,7 @@ class TestWorkflowDigest:
         other_grid = HKLGrid.benzil_grid(bins=(21, 21, 1))
         assert workflow_digest(make_config(grid=other_grid)) != base
         assert workflow_digest(make_config(backend="numpy")) != base
-        assert workflow_digest(make_config(sort_impl="library")) != base
+        assert workflow_digest(make_config(sort_impl="comb")) != base
         fewer = make_config(md_paths=tiny_experiment.md_paths[:2])
         assert workflow_digest(fewer) != base
 
