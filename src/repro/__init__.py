@@ -34,31 +34,24 @@ paper-vs-measured record of every table and figure.
 
 __version__ = "1.0.0"
 
-from repro.core import (
-    HKLGrid,
-    Hist3,
-    MDEventWorkspace,
-    ReductionWorkflow,
-    WorkflowConfig,
-    bin_events,
-    compute_cross_section,
-    convert_to_md,
-    load_md,
-    mdnorm,
-    save_md,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "HKLGrid",
-    "Hist3",
-    "MDEventWorkspace",
-    "ReductionWorkflow",
-    "WorkflowConfig",
-    "bin_events",
-    "compute_cross_section",
-    "convert_to_md",
-    "load_md",
-    "mdnorm",
-    "save_md",
-]
+# public name -> defining module, imported on first use: every
+# ``repro.*`` import runs this file first, so it must not load the core
+_EXPORTS = {
+    "HKLGrid": "repro.core.grid",
+    "Hist3": "repro.core.hist3",
+    "MDEventWorkspace": "repro.core.md_event_workspace",
+    "ReductionWorkflow": "repro.core.workflow",
+    "WorkflowConfig": "repro.core.workflow",
+    "bin_events": "repro.core.binmd",
+    "compute_cross_section": "repro.core.cross_section",
+    "convert_to_md": "repro.core.md_event_workspace",
+    "load_md": "repro.core.md_event_workspace",
+    "mdnorm": "repro.core.mdnorm",
+    "save_md": "repro.core.md_event_workspace",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,35 +17,30 @@ evaluation artifacts:
   paper-vs-measured comparison blocks quoted in EXPERIMENTS.md.
 """
 
-from repro.bench.workloads import WorkloadSpec, WorkloadData, benzil_corelli, bixbyite_topaz
-from repro.bench.harness import (
-    run_garnet,
-    run_cpp_proxy,
-    run_minivates,
-    MeasuredRun,
-    DeviceProfile,
-    MI100_PROFILE,
-    A100_PROFILE,
-)
-from repro.bench.report import format_table, format_stage_table, comparison_block
-from repro.bench.sweep import SweepPoint, SweepResult, run_sweep
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "WorkloadSpec",
-    "WorkloadData",
-    "benzil_corelli",
-    "bixbyite_topaz",
-    "run_garnet",
-    "run_cpp_proxy",
-    "run_minivates",
-    "MeasuredRun",
-    "DeviceProfile",
-    "MI100_PROFILE",
-    "A100_PROFILE",
-    "format_table",
-    "format_stage_table",
-    "comparison_block",
-    "SweepPoint",
-    "SweepResult",
-    "run_sweep",
-]
+# public name -> defining module, imported on first use so that building
+# a workload does not load the harness and, through it, every proxy
+_EXPORTS = {
+    "WorkloadSpec": "repro.bench.workloads",
+    "WorkloadData": "repro.bench.workloads",
+    "benzil_corelli": "repro.bench.workloads",
+    "bixbyite_topaz": "repro.bench.workloads",
+    "run_garnet": "repro.bench.harness",
+    "run_cpp_proxy": "repro.bench.harness",
+    "run_minivates": "repro.bench.harness",
+    "MeasuredRun": "repro.bench.harness",
+    "DeviceProfile": "repro.bench.harness",
+    "MI100_PROFILE": "repro.bench.harness",
+    "A100_PROFILE": "repro.bench.harness",
+    "format_table": "repro.bench.report",
+    "format_stage_table": "repro.bench.report",
+    "comparison_block": "repro.bench.report",
+    "SweepPoint": "repro.bench.sweep",
+    "SweepResult": "repro.bench.sweep",
+    "run_sweep": "repro.bench.sweep",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

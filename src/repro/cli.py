@@ -24,16 +24,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.bench.harness import (
-    A100_PROFILE,
-    MI100_PROFILE,
-    MeasuredRun,
-    assert_results_match,
-    run_cpp_proxy,
-    run_garnet,
-    run_minivates,
-)
-from repro.bench.workloads import benzil_corelli, bixbyite_topaz, build_workload
 from repro.jacc import available_backends
 
 #: the registered jacc back ends, for ``--backend`` help texts
@@ -217,6 +207,17 @@ def _recovery_for(args, impl: str, data):
     return RecoveryConfig(checkpoint=ckpt, resume=bool(args.resume))
 
 
+def _build_workload(args):
+    """Build (or load from the dataset cache) the workload ``args`` selects."""
+    from repro.bench.workloads import benzil_corelli, bixbyite_topaz, build_workload
+
+    make_spec = benzil_corelli if args.workload == "benzil" else bixbyite_topaz
+    spec = make_spec(scale=args.scale, n_files=args.files,
+                     chunk_events=getattr(args, "chunk_events", None))
+    print(spec.describe())
+    return build_workload(spec)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
 
@@ -237,11 +238,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"wrote reduced data to {args.save}")
         return 0
 
-    make_spec = benzil_corelli if args.workload == "benzil" else bixbyite_topaz
-    spec = make_spec(scale=args.scale, n_files=args.files,
-                     chunk_events=args.chunk_events)
-    print(spec.describe())
-    data = build_workload(spec)
+    from repro.bench.harness import (
+        A100_PROFILE,
+        MI100_PROFILE,
+        MeasuredRun,
+        assert_results_match,
+        run_cpp_proxy,
+        run_garnet,
+        run_minivates,
+    )
+
+    data = _build_workload(args)
     profile = A100_PROFILE if args.device_profile == "a100" else MI100_PROFILE
 
     fault_ctx, fault_plan = _fault_plan_context(args)
@@ -314,7 +321,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         import json
 
         payload = {
-            "workload": spec.describe(),
+            "workload": data.spec.describe(),
             "runs": [
                 {
                     "label": run.label,
@@ -462,7 +469,6 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     ``repro trace summary`` (first positional token) instead summarizes
     or diffs previously written trace files without running anything.
     """
-    from repro.bench.workloads import benzil_corelli, bixbyite_topaz, build_workload
     from repro.util import trace as trace_mod
 
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -479,11 +485,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     args = _trace_parser().parse_args(argv)
     if args.memory_budget is not None and args.chunk_events is None:
         raise SystemExit("--memory-budget requires --chunk-events run files")
-    make_spec = benzil_corelli if args.workload == "benzil" else bixbyite_topaz
-    spec = make_spec(scale=args.scale, n_files=args.files,
-                     chunk_events=args.chunk_events)
-    print(spec.describe())
-    data = build_workload(spec)
+    data = _build_workload(args)
 
     # campaign id: stable config digest + per-invocation nonce, shared
     # by every per-rank trace file this run writes
@@ -878,11 +880,7 @@ def _perf_models(args) -> List[tuple]:
             out.append((path, PerfModel.from_records(records), records))
         return out
 
-    make_spec = benzil_corelli if args.workload == "benzil" else bixbyite_topaz
-    spec = make_spec(scale=args.scale, n_files=args.files,
-                     chunk_events=getattr(args, "chunk_events", None))
-    print(spec.describe())
-    data = build_workload(spec)
+    data = _build_workload(args)
     impls = (("core", "cpp", "minivates") if args.impl == "all"
              else (args.impl,))
     out = []
@@ -917,11 +915,7 @@ def _perf_bench_setup(args):
 
     if args.memory_budget is not None and args.chunk_events is None:
         raise SystemExit("--memory-budget requires --chunk-events run files")
-    make_spec = benzil_corelli if args.workload == "benzil" else bixbyite_topaz
-    spec = make_spec(scale=args.scale, n_files=args.files,
-                     chunk_events=args.chunk_events)
-    print(spec.describe())
-    data = build_workload(spec)
+    data = _build_workload(args)
     name = args.name or f"{args.workload}_smoke"
     path = args.bench_file or default_bench_path(name, args.bench_dir)
     recorder = BenchRecorder(path, name)
@@ -940,7 +934,7 @@ def _perf_bench_setup(args):
         executor=executor, steal_seed=getattr(args, "steal_seed", 0),
     )
     config = {
-        "scale": getattr(spec, "scale", None),
+        "scale": getattr(data.spec, "scale", None),
         "files": len(data.md_paths),
         "backend": args.backend,
         "shards": args.shards,
@@ -959,6 +953,7 @@ def perf_main(argv: Optional[List[str]] = None) -> int:
 
     if args.cmd == "report":
         from repro.util.perf import (
+            element_mode_warnings,
             mdnorm_padding,
             service_summary,
             service_table,
@@ -973,6 +968,8 @@ def perf_main(argv: Optional[List[str]] = None) -> int:
             if i or not getattr(args, "trace", None):
                 print()
             print(model.table(title=f"{label}: per-kernel throughput"))
+            for warning in element_mode_warnings(records):
+                print(f"  {warning}")
             cw = model.cold_warm_summary()
             if cw:
                 pairs = "  ".join(f"{k}={v:g}" for k, v in sorted(cw.items()))

@@ -31,68 +31,54 @@ decomposition of the "monolithic closed-box" Mantid workflow):
   keys, hit/miss counters).
 """
 
-from repro.core.grid import HKLGrid
-from repro.core.hist3 import Hist3
-from repro.core.md_event_workspace import (
-    MDEventWorkspace,
-    convert_to_md,
-    save_md,
-    load_md,
-)
-from repro.core.combsort import comb_sort, comb_sort_rows
-from repro.core.geom_cache import (
-    DISABLED,
-    CacheStats,
-    GeomCache,
-    default_cache,
-    set_default_cache,
-)
-from repro.core.binmd import bin_events
-from repro.core.mdnorm import mdnorm, max_intersections, prefetch_geometry
-from repro.core.cross_section import CrossSectionResult, compute_cross_section
-from repro.core.workflow import ReductionWorkflow, WorkflowConfig
-from repro.core.streaming import EventStream, StreamBatch, StreamingReduction
-from repro.core.rebin import InMemoryReducer
-from repro.core.peaks import PeakList, find_peaks, match_to_reflections
-from repro.core.output import load_reduced, save_reduced
-from repro.core.plan import ReductionPlan, load_plan, run_plan, save_plan
-from repro.core.render import ascii_map, render_hist
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "HKLGrid",
-    "Hist3",
-    "MDEventWorkspace",
-    "convert_to_md",
-    "save_md",
-    "load_md",
-    "comb_sort",
-    "comb_sort_rows",
-    "bin_events",
-    "mdnorm",
-    "max_intersections",
-    "prefetch_geometry",
-    "GeomCache",
-    "CacheStats",
-    "DISABLED",
-    "default_cache",
-    "set_default_cache",
-    "CrossSectionResult",
-    "compute_cross_section",
-    "ReductionWorkflow",
-    "WorkflowConfig",
-    "EventStream",
-    "StreamBatch",
-    "StreamingReduction",
-    "InMemoryReducer",
-    "PeakList",
-    "find_peaks",
-    "match_to_reflections",
-    "save_reduced",
-    "load_reduced",
-    "ReductionPlan",
-    "load_plan",
-    "run_plan",
-    "save_plan",
-    "ascii_map",
-    "render_hist",
-]
+# ``mdnorm`` names both a submodule and its kernel function.  Importing
+# the submodule rebinds the package attribute to the module, so the
+# function is bound here, after that import, as the eager package did.
+from repro.core.mdnorm import mdnorm
+
+# public name -> defining module, imported on first use so that a
+# reduction does not load streaming, peaks, plans, rendering or output
+_EXPORTS = {
+    "HKLGrid": "repro.core.grid",
+    "Hist3": "repro.core.hist3",
+    "MDEventWorkspace": "repro.core.md_event_workspace",
+    "convert_to_md": "repro.core.md_event_workspace",
+    "save_md": "repro.core.md_event_workspace",
+    "load_md": "repro.core.md_event_workspace",
+    "comb_sort": "repro.core.combsort",
+    "comb_sort_rows": "repro.core.combsort",
+    "bin_events": "repro.core.binmd",
+    "mdnorm": "repro.core.mdnorm",
+    "max_intersections": "repro.core.mdnorm",
+    "prefetch_geometry": "repro.core.mdnorm",
+    "GeomCache": "repro.core.geom_cache",
+    "CacheStats": "repro.core.geom_cache",
+    "DISABLED": "repro.core.geom_cache",
+    "default_cache": "repro.core.geom_cache",
+    "set_default_cache": "repro.core.geom_cache",
+    "CrossSectionResult": "repro.core.cross_section",
+    "compute_cross_section": "repro.core.cross_section",
+    "ReductionWorkflow": "repro.core.workflow",
+    "WorkflowConfig": "repro.core.workflow",
+    "EventStream": "repro.core.streaming",
+    "StreamBatch": "repro.core.streaming",
+    "StreamingReduction": "repro.core.streaming",
+    "InMemoryReducer": "repro.core.rebin",
+    "PeakList": "repro.core.peaks",
+    "find_peaks": "repro.core.peaks",
+    "match_to_reflections": "repro.core.peaks",
+    "save_reduced": "repro.core.output",
+    "load_reduced": "repro.core.output",
+    "ReductionPlan": "repro.core.plan",
+    "load_plan": "repro.core.plan",
+    "run_plan": "repro.core.plan",
+    "save_plan": "repro.core.plan",
+    "ascii_map": "repro.core.render",
+    "render_hist": "repro.core.render",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from repro.core.hist3 import Hist3
 from repro.util.validation import require
@@ -66,6 +65,10 @@ def find_peaks(
     neighborhood:
         Half-width (in bins) of the local-maximum window per dimension.
     """
+    # scipy is imported here, not at module scope: peak finding is
+    # analysis, and a reduction never loads it
+    from scipy.ndimage import maximum_filter
+
     require(neighborhood >= 1, "neighborhood must be >= 1")
     data = np.nan_to_num(hist.signal, nan=0.0)
     if not np.any(data > 0):

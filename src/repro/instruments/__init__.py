@@ -18,33 +18,27 @@ synthetic pipeline:
   onto (pixel id, time-of-flight) events.
 """
 
-from repro.instruments.detector import DetectorArray
-from repro.instruments.corelli import make_corelli
-from repro.instruments.topaz import make_topaz
-from repro.instruments.conversion import (
-    tof_to_wavelength,
-    wavelength_to_tof,
-    wavelength_to_momentum,
-    momentum_to_wavelength,
-    q_lab_from_events,
-    H_OVER_MN,
-)
-from repro.instruments.synth import SynthesisConfig, synthesize_run, instrument_q_window
-from repro.instruments.idf import read_instrument, write_instrument
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "DetectorArray",
-    "make_corelli",
-    "make_topaz",
-    "tof_to_wavelength",
-    "wavelength_to_tof",
-    "wavelength_to_momentum",
-    "momentum_to_wavelength",
-    "q_lab_from_events",
-    "H_OVER_MN",
-    "SynthesisConfig",
-    "synthesize_run",
-    "instrument_q_window",
-    "read_instrument",
-    "write_instrument",
-]
+# public name -> defining module, imported on first use so that loading
+# the detector model for a reduction does not load event synthesis
+_EXPORTS = {
+    "DetectorArray": "repro.instruments.detector",
+    "make_corelli": "repro.instruments.corelli",
+    "make_topaz": "repro.instruments.topaz",
+    "tof_to_wavelength": "repro.instruments.conversion",
+    "wavelength_to_tof": "repro.instruments.conversion",
+    "wavelength_to_momentum": "repro.instruments.conversion",
+    "momentum_to_wavelength": "repro.instruments.conversion",
+    "q_lab_from_events": "repro.instruments.conversion",
+    "H_OVER_MN": "repro.instruments.conversion",
+    "SynthesisConfig": "repro.instruments.synth",
+    "synthesize_run": "repro.instruments.synth",
+    "instrument_q_window": "repro.instruments.synth",
+    "read_instrument": "repro.instruments.idf",
+    "write_instrument": "repro.instruments.idf",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.util.validation import ValidationError, require
 
@@ -89,7 +88,11 @@ class DetectorArray:
         return self.l1 + self.l2
 
     @cached_property
-    def _direction_tree(self) -> cKDTree:
+    def _direction_tree(self):
+        # scipy is imported here, not at module scope: only synthesis
+        # maps directions onto pixels, so a reduction never loads it
+        from scipy.spatial import cKDTree
+
         return cKDTree(self.directions)
 
     @cached_property

@@ -9,8 +9,9 @@ singleton instances; ``REPRO_JACC_BACKEND`` selects the process default
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -39,6 +40,10 @@ class Backend(ABC):
     name: str = "abstract"
     #: "cpu" or "device" — what Fig. 2's architecture calls the target
     device_kind: str = "cpu"
+    #: how a launch runs the kernel: "element" calls the per-index body
+    #: once per index, "batch" runs the kernel's array body once over the
+    #: whole index space; recorded on every ``kernel:<name>`` span
+    exec_mode: str = "element"
 
     # -- memory model ----------------------------------------------------
     def to_device(self, host: np.ndarray) -> np.ndarray:
@@ -69,19 +74,10 @@ class Backend(ABC):
         if not tracer.enabled:
             self.run_parallel_for(dims, kernel, captures)
             return
-        attrs: Dict[str, Any] = dict(
-            kind="kernel",
-            backend=self.name,
-            device_kind=self.device_kind,
-            dims=[int(d) for d in normalize_dims(dims)],
-        )
-        if tracer.profile:
-            from repro.util.perf import kernel_items
-
-            attrs["perf"] = kernel_items(attrs["dims"])
+        attrs = self._launch_attrs(tracer, dims)
         with tracer.span(f"kernel:{kernel.name}", **attrs):
             self.run_parallel_for(dims, kernel, captures)
-        tracer.count("jacc.launches", 1)
+        self._count_launch(tracer, attrs["dims"])
 
     def parallel_reduce(
         self,
@@ -94,21 +90,33 @@ class Backend(ABC):
         tracer = _trace.active_tracer()
         if not tracer.enabled:
             return self.run_parallel_reduce(dims, kernel, captures, op)
+        attrs = self._launch_attrs(tracer, dims, op=op)
+        with tracer.span(f"kernel:{kernel.name}", **attrs):
+            result = self.run_parallel_reduce(dims, kernel, captures, op)
+        self._count_launch(tracer, attrs["dims"])
+        return result
+
+    def _launch_attrs(
+        self, tracer: _trace.Tracer, dims: int | Tuple[int, ...], **extra: Any
+    ) -> Dict[str, Any]:
         attrs: Dict[str, Any] = dict(
             kind="kernel",
             backend=self.name,
             device_kind=self.device_kind,
+            exec_mode=self.exec_mode,
             dims=[int(d) for d in normalize_dims(dims)],
-            op=op,
+            **extra,
         )
         if tracer.profile:
             from repro.util.perf import kernel_items
 
             attrs["perf"] = kernel_items(attrs["dims"])
-        with tracer.span(f"kernel:{kernel.name}", **attrs):
-            result = self.run_parallel_reduce(dims, kernel, captures, op)
+        return attrs
+
+    def _count_launch(self, tracer: _trace.Tracer, dims: List[int]) -> None:
         tracer.count("jacc.launches", 1)
-        return result
+        if self.exec_mode == "element":
+            tracer.count("jacc.element_calls", math.prod(dims))
 
     @abstractmethod
     def run_parallel_for(

@@ -43,18 +43,18 @@ from repro.mpi.decomposition import (
     weighted_shard_ranges,
 )
 
+from repro.util.lazy import lazy_exports
+
 #: stealing-executor names exported lazily (PEP 562): the module pulls
 #: in repro.core.sharding, which imports this package — an eager import
 #: here would re-enter the partially initialized package
-_LAZY_STEALING = ("StealQueue", "StealTask", "run_stealing_campaign")
-
-
-def __getattr__(name):
-    if name in _LAZY_STEALING:
-        from repro.mpi import stealing
-
-        return getattr(stealing, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        name: "repro.mpi.stealing"
+        for name in ("StealQueue", "StealTask", "run_stealing_campaign")
+    },
+)
 
 
 __all__ = [

@@ -516,6 +516,33 @@ def mdnorm_padding(records: Sequence[Dict[str, Any]]) -> Dict[str, float]:
             "pad_efficiency": live / slots if slots else 0.0}
 
 
+def element_mode_warnings(records: Sequence[Dict[str, Any]]) -> List[str]:
+    """One warning per (back end, kernel) that ran element mode off ``serial``.
+
+    ``kernel:*`` spans record the launching back end's ``exec_mode``.
+    ``serial`` is the element-per-index reference, so element mode there
+    is expected; on any other back end it means every index paid a
+    Python call where a batch body would have run once per launch.
+    """
+    seen: Dict[Tuple[str, str], List[float]] = {}
+    for rec in records:
+        attrs = rec.get("attrs")
+        if (rec.get("type", "span") != "span" or not isinstance(attrs, dict)
+                or attrs.get("kind") != "kernel"
+                or attrs.get("exec_mode") != "element"
+                or attrs.get("backend") == "serial"):
+            continue
+        slot = seen.setdefault((str(attrs.get("backend")), str(rec["name"])), [0.0, 0.0])
+        slot[0] += 1.0
+        slot[1] += float(math.prod(attrs.get("dims", ())))
+    return [
+        f"warning: {name} ran element mode on back end {backend!r} "
+        f"({int(launches)} launches, {_si(calls)} element calls); "
+        f"the 'vectorized' back end runs its batch body"
+        for (backend, name), (launches, calls) in sorted(seen.items())
+    ]
+
+
 # ---------------------------------------------------------------------------
 # shard fan-out attribution (PR 5: hierarchical intra-run sharding)
 # ---------------------------------------------------------------------------

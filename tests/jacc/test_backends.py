@@ -189,3 +189,55 @@ class TestMemoryModel:
         dev = array(host, backend="vectorized")
         back = to_host(dev, backend="vectorized")
         assert np.array_equal(back, host)
+
+
+class TestExecMode:
+    """``kernel:*`` spans say whether a launch ran element or batch bodies."""
+
+    @staticmethod
+    def _traced_launches(backend):
+        from repro.util.trace import Tracer, use_tracer
+
+        tracer = Tracer(label=f"exec-mode/{backend}")
+        with use_tracer(tracer):
+            parallel_for((3, 7), _pair_kernel(),
+                         make_captures(x=np.arange(7.0), scales=np.ones(3),
+                                       out=np.zeros((3, 7))),
+                         backend=backend)
+            parallel_reduce(100, _sum_sq_kernel(),
+                            make_captures(x=np.arange(100.0)), backend=backend)
+        spans = [r for r in tracer.records
+                 if r.get("attrs", {}).get("kind") == "kernel"]
+        return tracer, spans
+
+    def test_class_attribute(self):
+        assert get_backend("vectorized").exec_mode == "batch"
+        assert get_backend("serial").exec_mode == "element"
+        assert get_backend("threads").exec_mode == "element"
+
+    def test_threads_vs_vectorized_launch(self):
+        from repro.util.perf import element_mode_warnings
+
+        tracer, spans = self._traced_launches("threads")
+        assert [s["attrs"]["exec_mode"] for s in spans] == ["element", "element"]
+        assert tracer.counters["jacc.launches"] == 2
+        assert tracer.counters["jacc.element_calls"] == 3 * 7 + 100
+        warnings = element_mode_warnings(tracer.records)
+        assert len(warnings) == 2
+        assert all("'threads'" in w and "element mode" in w for w in warnings)
+        assert "kernel:test_pair" in warnings[0]
+        assert "(1 launches, 21.0 element calls)" in warnings[0]
+
+        tracer, spans = self._traced_launches("vectorized")
+        assert [s["attrs"]["exec_mode"] for s in spans] == ["batch", "batch"]
+        assert tracer.counters["jacc.launches"] == 2
+        assert "jacc.element_calls" not in tracer.counters
+        assert element_mode_warnings(tracer.records) == []
+
+    def test_serial_element_mode_is_not_a_warning(self):
+        from repro.util.perf import element_mode_warnings
+
+        tracer, spans = self._traced_launches("serial")
+        assert {s["attrs"]["exec_mode"] for s in spans} == {"element"}
+        assert tracer.counters["jacc.element_calls"] == 121
+        assert element_mode_warnings(tracer.records) == []
