@@ -3,7 +3,7 @@
 The ISSUE's acceptance benchmark: a Garnet-style workflow re-reduces
 the same runs across symmetry panels, grid sweeps and benchmark
 repetitions, so the second (warm) pass should skip the trajectory /
-pre-pass / deposit-plan computation entirely and replay the cached
+deposit-plan computation entirely and replay the cached
 arrays.  This measures both passes with
 :func:`repro.bench.harness.run_repeated_panel`, renders the per-stage
 cold/warm table into ``results/``, and asserts

@@ -306,7 +306,7 @@ def run_repeated_panel(
     """Reduce the same panel twice against one geometry cache.
 
     This is the benchmark behind the "hot path measurably faster"
-    acceptance: the first pass pays the full intersection / pre-pass /
+    acceptance: the first pass pays the full intersection /
     flux-table cost and fills the cache; the second pass replays the
     cached deposit plans.  A private cache is created unless one is
     passed in, so the measurement never depends on process state.
@@ -386,8 +386,8 @@ def run_sharded_panel(
     deposit functions over ``workers`` processes (1 = in-process), the
     baseline runs unsharded.  Both name ``baseline_backend`` (default
     ``threads``; ``vectorized`` is the fastest single-process path and
-    the sharded pass's bit-identity reference), which in the sharded
-    pass only runs the MDNorm pre-pass.
+    the sharded pass's bit-identity reference), which the sharded
+    pass ignores.
     """
     from repro.core.sharding import ShardConfig
 

@@ -501,8 +501,8 @@ def compute_cross_section(
         :func:`~repro.core.sharding.sharded_binmd`) — the second level
         of the hierarchical decomposition.  Shards run the batch
         kernels, so the result is bit-identical to the unsharded
-        ``vectorized`` loop for every shard/worker count and every
-        ``backend`` (which then only runs the MDNorm pre-pass).
+        ``vectorized`` loop for every shard/worker count, whatever
+        ``backend`` names.
         Ignored for a stage whose ``*_impl`` override is set (the
         override owns its own parallelism).
     run_weights:
@@ -586,7 +586,7 @@ def compute_cross_section(
                     scratch_m, traj_transforms, det_directions,
                     solid_angles, flux, ws.momentum_band,
                     shards=shards, charge=ws.proton_charge,
-                    backend=backend, cache=cache, cache_tag=f"run:{i}",
+                    cache=cache, cache_tag=f"run:{i}",
                     run=i,
                     on_shard=_shard_beat(monitor, comm, i, "MDNorm"),
                 )

@@ -14,10 +14,10 @@ entry kinds behind one LRU byte budget:
 
 * **geometry entries** (:class:`GeomEntry`) — per
   ``(grid, transforms, detectors, band, calibration, flux)`` key: the
-  trajectory directions, the clipped momentum windows and the
-  max-intersections pre-pass bound, plus (once the device/batch kernel
-  has run) a compacted :class:`DepositPlan` holding the segment
-  fluxes and flat bin indices of every depositing segment;
+  trajectory directions and the clipped momentum windows, plus (once
+  the device/batch kernel has run) a compacted :class:`DepositPlan`
+  holding the segment fluxes and flat bin indices of every depositing
+  segment;
 * **BinMD entries** (:class:`BinMDEntry`) — per
   ``(grid, transforms, event-table)`` key: the flat bin indices and
   inside masks of every event under every symmetry op;
@@ -192,7 +192,12 @@ class DepositPlan:
 
 @dataclass
 class GeomEntry:
-    """Cached trajectory geometry for one MDNorm configuration."""
+    """Cached trajectory geometry for one MDNorm configuration.
+
+    It holds no intersection-buffer width: the batch kernel's fill sizes
+    each tile's buffer from its own crossing counts, and the deposit
+    plan does not depend on the width.
+    """
 
     __jacc_shareable__ = False  # see DepositPlan
 
@@ -203,9 +208,6 @@ class GeomEntry:
     #: ``(n_ops, n_det)`` clipped momentum window
     k_lo: np.ndarray
     k_hi: np.ndarray
-    #: raw max-intersections pre-pass bound (before the plane-count
-    #: clamp); None until a pre-pass has run for this key
-    width: Optional[int] = None
     #: compacted deposit arrays (built lazily by the batch kernel)
     deposit: Optional[DepositPlan] = None
 

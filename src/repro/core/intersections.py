@@ -17,15 +17,18 @@ Everything here exists in two forms:
   time, writing into a caller-preallocated buffer — no allocation in
   the kernel, like MiniVATES);
 * batch helpers consumed by the device kernel (all ``n_ops x n_det``
-  trajectories at once), including the **pre-pass** that bounds the
-  intersection count so the padded buffer can be pre-allocated — the
-  extra kernel the paper describes MiniVATES adding because JACC's
-  ``parallel_reduce`` lacks a MAX operator.
+  trajectories at once).  Both batch helpers start from the same
+  per-axis plane spans (:func:`_plane_spans`): the fill sizes its
+  padded buffer from them (``2 + max crossings`` per tile) before
+  writing the crossings, and the counting kernel sums them — the
+  **pre-pass** the paper describes MiniVATES adding because JACC's
+  ``parallel_reduce`` lacks a MAX operator, so the device buffer must
+  be sized by a separate kernel before the MDNorm kernel runs.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -86,27 +89,6 @@ def k_window(
         hi = np.minimum(hi, b)
         hi = np.where(outside_para, lo - 1.0, hi)  # mark empty
     return lo, hi
-
-
-def detector_activity(k_lo: np.ndarray, k_hi: np.ndarray) -> np.ndarray:
-    """Per-detector MDNorm work estimate from the momentum windows.
-
-    Counts, for every detector column of the ``(n_ops, n_det)`` window
-    arrays, how many of its trajectories actually enter the grid box
-    (``k_hi > k_lo``).  Detectors whose every trajectory misses the box
-    still cost one dispatch per op, so the count is floored at 1 —
-    these are the weights the balanced shard planner
-    (:func:`repro.mpi.decomposition.weighted_shard_ranges`) cuts the
-    detector axis with.  Shard *boundaries* never affect the result
-    (the replay is in kernel order regardless), only the balance.
-    """
-    lo = np.asarray(k_lo, dtype=np.float64)
-    hi = np.asarray(k_hi, dtype=np.float64)
-    if lo.ndim == 1:  # single-op window
-        lo = lo[None, :]
-        hi = hi[None, :]
-    live = (hi > lo).sum(axis=0).astype(np.float64)
-    return np.maximum(live, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +158,25 @@ def fill_crossings_scalar(
 # batch (device-kernel) helpers
 # ---------------------------------------------------------------------------
 
-def count_crossings_batch(
-    directions: np.ndarray, grid: HKLGrid, k_lo: np.ndarray, k_hi: np.ndarray
-) -> np.ndarray:
-    """Per-trajectory crossing counts — the MiniVATES pre-pass kernel.
+def _flat(
+    directions: np.ndarray, k_lo: np.ndarray, k_hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (
+        np.asarray(directions, dtype=np.float64).reshape(-1, 3),
+        np.asarray(k_lo, dtype=np.float64).reshape(-1),
+        np.asarray(k_hi, dtype=np.float64).reshape(-1),
+    )
 
-    Vectorized over flattened trajectories; never materializes the
-    crossings themselves, so it is cheap enough to run once per file
-    before allocating the padded intersection buffer.
-    """
-    d = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
-    lo = np.asarray(k_lo, dtype=np.float64).reshape(-1)
-    hi = np.asarray(k_hi, dtype=np.float64).reshape(-1)
-    counts = np.zeros(d.shape[0], dtype=np.int64)
+
+def _plane_spans(
+    d: np.ndarray, grid: HKLGrid, lo: np.ndarray, hi: np.ndarray
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per axis, ``(s, count)`` of every flattened trajectory: the
+    planes it crosses strictly inside ``(k_lo, k_hi)`` are
+    ``grid.edges[axis][s : s + count]`` (count 0 for an empty window or
+    a direction parallel to the axis's planes)."""
     valid = hi > lo
+    spans = []
     for axis in range(3):
         di = d[:, axis]
         edges = grid.edges[axis]
@@ -198,7 +185,23 @@ def count_crossings_batch(
         b = np.maximum(lo * di, hi * di)
         s = np.searchsorted(edges, a, side="right")
         t = np.searchsorted(edges, b, side="left")
-        counts += np.where(valid & nonpar, np.maximum(t - s, 0), 0)
+        spans.append((s, np.where(valid & nonpar, np.maximum(t - s, 0), 0)))
+    return spans
+
+
+def count_crossings_batch(
+    directions: np.ndarray, grid: HKLGrid, k_lo: np.ndarray, k_hi: np.ndarray
+) -> np.ndarray:
+    """Per-trajectory crossing counts — the MiniVATES pre-pass kernel.
+
+    Vectorized over flattened trajectories; never materializes the
+    crossings themselves, so it is cheap enough to run once per file
+    before allocating a padded device buffer.
+    """
+    d, lo, hi = _flat(directions, k_lo, k_hi)
+    counts = np.zeros(d.shape[0], dtype=np.int64)
+    for _, cnt in _plane_spans(d, grid, lo, hi):
+        counts += cnt
     return counts
 
 
@@ -207,7 +210,7 @@ def fill_crossings_batch(
     grid: HKLGrid,
     k_lo: np.ndarray,
     k_hi: np.ndarray,
-    width: int,
+    width: Optional[int] = None,
 ) -> np.ndarray:
     """Padded per-trajectory crossing buffer, ready for the in-kernel sort.
 
@@ -215,42 +218,37 @@ def fill_crossings_batch(
     0, its crossings (unsorted) next, and ``k_hi[r]`` everywhere after —
     trailing duplicates form zero-length segments that deposit nothing.
     Rows with an empty window are entirely ``k_lo`` (also harmless).
-    ``width`` must be at least ``max crossings + 2`` (use the pre-pass).
+    ``width`` None sizes the buffer to the rows' own crossing counts,
+    ``2 + max crossings``; an explicit width is used as given and must
+    be at least that (``ValueError`` otherwise).
     """
-    d = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
-    lo = np.asarray(k_lo, dtype=np.float64).reshape(-1)
-    hi = np.asarray(k_hi, dtype=np.float64).reshape(-1)
+    d, lo, hi = _flat(directions, k_lo, k_hi)
     n_rows = d.shape[0]
-    valid = hi > lo
-    safe_hi = np.where(valid, hi, lo)
+    spans = _plane_spans(d, grid, lo, hi)
+    needed = 2 + int(sum(cnt for _, cnt in spans).max(initial=0))
+    if width is None:
+        width = needed
+    elif width < needed:
+        raise ValueError(
+            f"intersection buffer width {width} too small (needed {needed})"
+        )
+    safe_hi = np.where(hi > lo, hi, lo)
 
     padded = np.broadcast_to(safe_hi[:, None], (n_rows, width)).copy()
     padded[:, 0] = lo
     cursor = np.ones(n_rows, dtype=np.int64)
 
     flat = padded.reshape(-1)
-    for axis in range(3):
-        di = d[:, axis]
-        edges = grid.edges[axis]
-        nonpar = np.abs(di) > PARALLEL_EPS
-        a = np.minimum(lo * di, hi * di)
-        b = np.maximum(lo * di, hi * di)
-        s = np.searchsorted(edges, a, side="right")
-        t = np.searchsorted(edges, b, side="left")
-        cnt = np.where(valid & nonpar, np.maximum(t - s, 0), 0)
+    for axis, (s, cnt) in enumerate(spans):
         total = int(cnt.sum())
         if total == 0:
             continue
-        if int((cursor + cnt).max()) >= width:
-            raise ValueError(
-                f"intersection buffer width {width} too small "
-                f"(needed {int((cursor + cnt).max()) + 1}); run the pre-pass"
-            )
+        edges = grid.edges[axis]
         rows_rep = np.repeat(np.arange(n_rows), cnt)
         starts = np.concatenate([[0], np.cumsum(cnt)[:-1]])
         within = np.arange(total) - np.repeat(starts, cnt)
         edge_idx = np.repeat(s, cnt) + within
-        vals = edges[edge_idx] / di[rows_rep]
+        vals = edges[edge_idx] / d[rows_rep, axis]
         pos = rows_rep * width + np.repeat(cursor, cnt) + within
         flat[pos] = vals
         cursor += cnt
@@ -263,7 +261,7 @@ def _fill_sort(
     grid: HKLGrid,
     k_lo: np.ndarray,
     k_hi: np.ndarray,
-    width: int,
+    width: Optional[int],
     sort_impl: str,
 ) -> np.ndarray:
     padded = fill_crossings_batch(directions, grid, k_lo, k_hi, width)
@@ -279,11 +277,12 @@ def sorted_crossings_batch(
     grid: HKLGrid,
     k_lo: np.ndarray,
     k_hi: np.ndarray,
-    width: int,
+    width: Optional[int] = None,
     *,
     sort_impl: str = "library",
 ) -> np.ndarray:
-    """Fill + row-sort in one step: the packed per-trajectory buffer.
+    """Fill + row-sort in one step: the packed per-trajectory buffer
+    (``width`` as in :func:`fill_crossings_batch`).
 
     ``sort_impl`` is ``"library"`` (``ndarray.sort``) or ``"comb"`` (the
     paper's in-kernel comb sort, vectorized across rows).  Both sort
@@ -291,18 +290,19 @@ def sorted_crossings_batch(
     identical (a ``-0.0``/``0.0`` swap is invisible to everything
     downstream).  Rows are fully independent (fill and sort never look
     across rows), so sorting the whole live set at once or a tile of
-    it yields bit-identical values.
+    it, at any width, yields bit-identical values.
     """
     tracer = _trace.active_tracer()
     if not tracer.enabled:
         return _fill_sort(directions, grid, k_lo, k_hi, width, sort_impl)
 
     n_rows = int(np.asarray(directions).reshape(-1, 3).shape[0])
-    attrs = {"kind": "phase", "rows": n_rows, "width": int(width),
-             "sort_impl": sort_impl}
-    if tracer.profile:
-        from repro.util.perf import intersections_work
+    with tracer.span("intersections.fill_sort", kind="phase", rows=n_rows,
+                     sort_impl=sort_impl) as sp:
+        padded = _fill_sort(directions, grid, k_lo, k_hi, width, sort_impl)
+        sp.set(width=int(padded.shape[1]))
+        if tracer.profile:
+            from repro.util.perf import intersections_work
 
-        attrs["perf"] = intersections_work(n_rows, int(width))
-    with tracer.span("intersections.fill_sort", **attrs):
-        return _fill_sort(directions, grid, k_lo, k_hi, width, sort_impl)
+            sp.set(perf=intersections_work(n_rows, int(padded.shape[1])))
+        return padded

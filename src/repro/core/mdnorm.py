@@ -14,18 +14,27 @@ Each lane
    sub-segment, and
 6. **appends** ``solid_angle x flux`` into the normalization histogram.
 
-The pre-pass :func:`max_intersections` bounds step 3's output so the
-device buffer can be pre-allocated.  JACC's device ``parallel_reduce``
-supports only ``+`` (the limitation the paper documents), so on the
-device back end the MAX is computed with the same workaround MiniVATES
-uses: a counting kernel, a device->host copy, and a host-side max; the
-CPU back ends use the elegant ``parallel_reduce(op="max")`` directly.
+Step 3's buffer is sized by the step itself: the batch kernel's fill
+takes each tile's width from the crossing counts it computes anyway
+(:func:`repro.core.intersections.fill_crossings_batch`), and the
+element bodies use the grid's ``hBins+kBins+lBins+2`` bound
+(:attr:`HKLGrid.max_plane_crossings`), so the reduction runs no
+separate counting pass.
+
+:func:`max_intersections` is MiniVATES's pre-pass, run by the device
+proxy (:mod:`repro.proxy.minivates`), which must size its device buffer
+before the kernel runs and passes the result as ``mdnorm(width=...)``.
+JACC's device ``parallel_reduce`` supports only ``+`` (the limitation
+the paper documents), so on the device back end the MAX is computed
+with the same workaround MiniVATES uses: a counting kernel, a
+device->host copy, and a host-side max; the CPU back ends use the
+elegant ``parallel_reduce(op="max")`` directly.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -137,9 +146,6 @@ def max_intersections(
     *,
     backend: Optional[str] = None,
     use_extended_reduce: bool = False,
-    directions: Optional[np.ndarray] = None,
-    k_lo: Optional[np.ndarray] = None,
-    k_hi: Optional[np.ndarray] = None,
 ) -> int:
     """Upper bound on per-trajectory intersections (+2 endpoints).
 
@@ -154,17 +160,10 @@ def max_intersections(
     :func:`repro.jacc.reduction.device_reduce` — the custom-operator
     device reduction the paper lists as hoped-for future work — which
     removes the per-lane device->host copy entirely.
-
-    ``directions`` / ``k_lo`` / ``k_hi`` may be supplied when the
-    caller (or the geometry cache) has already computed them; they must
-    be exactly ``trajectory_directions(transforms, det_directions)``
-    and ``k_window(directions, grid, *momentum_band)``.
     """
     be = get_backend(backend) if backend else default_backend()
-    if directions is None:
-        directions = trajectory_directions(transforms, det_directions)
-    if k_lo is None or k_hi is None:
-        k_lo, k_hi = k_window(directions, grid, *momentum_band)
+    directions = trajectory_directions(transforms, det_directions)
+    k_lo, k_hi = k_window(directions, grid, *momentum_band)
     dims = directions.shape[:2]
     tracer = _trace.active_tracer()
     with tracer.span("mdnorm.prepass", kind="phase", backend=be.name) as sp:
@@ -251,21 +250,24 @@ def _segments(
     grid: HKLGrid,
     flux_k: np.ndarray,
     flux_cum: np.ndarray,
-    width: int,
+    width: Optional[int],
     sort_impl: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Listing 1's steps 3-5 for a block of live trajectories.
 
-    Returns ``(row, seg_flux, flat_idx)`` of every non-empty segment
-    whose midpoint bins inside the grid, in row-major order; ``row``
-    indexes the block.  Only those segments are interpolated and
-    binned, so the values do not depend on the padded ``width``, and
-    rows are independent, so any row block of the same trajectories
-    yields the same values bit for bit.
+    Returns ``(row, seg_flux, flat_idx, width)``: every non-empty
+    segment whose midpoint bins inside the grid, in row-major order
+    (``row`` indexes the block), and the padded width the block was
+    filled at (``width`` None: the fill's own ``2 + max crossings``).
+    Only those segments are interpolated and binned, so the values do
+    not depend on the padded width, and rows are independent, so any
+    row block of the same trajectories yields the same values bit for
+    bit.
     """
     padded = sorted_crossings_batch(
         directions, grid, k_lo, k_hi, width, sort_impl=sort_impl,
     )
+    width = padded.shape[1]
     # non-empty segments in row-major order (``np.nonzero`` order), as
     # flat positions of their lower end in the padded buffer
     k = np.flatnonzero(padded[:, 1:] > padded[:, :-1])
@@ -288,8 +290,8 @@ def _segments(
     mid = 0.5 * (lo + hi)
     flat_idx, inside = grid.bin_index(mid[:, None] * directions[row])
     if inside.all():
-        return row, seg_flux, flat_idx
-    return row[inside], seg_flux[inside], flat_idx[inside]
+        return row, seg_flux, flat_idx, width
+    return row[inside], seg_flux[inside], flat_idx[inside], width
 
 
 def _deposits(
@@ -318,9 +320,11 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     scatter sequence (and each ``buffered`` tile sum) is the cold one
     bit for bit.
 
+    ``ctx.width`` None lets every tile's fill size its own buffer.
     Records ``ctx.live_segments`` (segments deposited from, before the
-    zero-weight drop) and ``ctx.segment_slots`` (padded slots filled;
-    0 on a warm launch) for the op span.
+    zero-weight drop), ``ctx.segment_slots`` (padded slots filled) and
+    ``ctx.fill_width`` (the widest tile buffer; both 0 on a warm
+    launch) for the op span.
     """
     n_ops, n_det = dims
     grid: HKLGrid = ctx.grid
@@ -328,7 +332,7 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     # per-trajectory weight: solid angle of the detector (tiled over ops)
     det_w = np.broadcast_to(ctx.solid_angles, (n_ops, n_det)).reshape(-1) * ctx.charge
     tile = ctx.tile_rows
-    width = ctx.width
+    ctx.live_segments = ctx.segment_slots = ctx.fill_width = 0
 
     entry: Optional[GeomEntry] = getattr(ctx, "geom_entry", None)
     use_plan: bool = getattr(ctx, "use_plan", False)
@@ -345,7 +349,7 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
                 det_w_live,
             )
             Hist3._scatter(target, idx, weights, ctx.scatter_impl)
-        ctx.live_segments, ctx.segment_slots = plan.n_segments, 0
+        ctx.live_segments = plan.n_segments
         return
 
     live, directions, k_lo, k_hi, det_w = _live_rows(
@@ -353,7 +357,6 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
         ctx.k_hi.reshape(-1), det_w,
     )
     n_rows = directions.shape[0]
-    ctx.live_segments, ctx.segment_slots = 0, n_rows * (width - 1)
     if n_rows == 0:
         return
 
@@ -362,11 +365,13 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     parts = []
     for start in range(0, n_rows, tile):
         stop = min(start + tile, n_rows)
-        row, seg_flux, flat_idx = _segments(
+        row, seg_flux, flat_idx, width = _segments(
             directions[start:stop], k_lo[start:stop], k_hi[start:stop],
-            grid, ctx.flux_k, ctx.flux_cum, width, ctx.sort_impl,
+            grid, ctx.flux_k, ctx.flux_cum, ctx.width, ctx.sort_impl,
         )
         ctx.live_segments += row.size
+        ctx.segment_slots += (stop - start) * (width - 1)
+        ctx.fill_width = max(ctx.fill_width, width)
         if collect:
             parts.append((row + start, seg_flux, flat_idx))
         idx, weights = _deposits(row, seg_flux, flat_idx, det_w[start:stop])
@@ -397,8 +402,8 @@ def mdnorm_deposits(
     ranges concatenate to that kernel's exact deposit sequence, so
     replaying them with ``np.add.at`` is bit-identical to the unsharded
     batch kernel.  ``ctx`` carries ``grid``, ``directions``, ``k_lo``,
-    ``k_hi``, ``solid_angles``, ``charge``, ``flux_k``, ``flux_cum``
-    and ``width``.
+    ``k_hi``, ``solid_angles``, ``charge``, ``flux_k`` and
+    ``flux_cum``; each tile's fill sizes its own buffer.
     """
     n_ops = ctx.directions.shape[0]
     det_w = np.broadcast_to(ctx.solid_angles[a:b], (n_ops, b - a)).reshape(-1)
@@ -409,9 +414,9 @@ def mdnorm_deposits(
     parts = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64))]
     for start in range(0, directions.shape[0], DEFAULT_TILE_ROWS):
         stop = start + DEFAULT_TILE_ROWS
-        row, seg_flux, flat_idx = _segments(
+        row, seg_flux, flat_idx, _ = _segments(
             directions[start:stop], k_lo[start:stop], k_hi[start:stop],
-            ctx.grid, ctx.flux_k, ctx.flux_cum, ctx.width, "library",
+            ctx.grid, ctx.flux_k, ctx.flux_cum, None, "library",
         )
         parts.append((row + start, seg_flux, flat_idx))
     row, seg_flux, flat_idx = (np.concatenate(p) for p in zip(*parts))
@@ -425,6 +430,48 @@ def mdnorm_deposits(
 
 
 MDNORM_KERNEL = Kernel(name="mdnorm", element=_mdnorm_element, batch=_mdnorm_batch)
+
+
+def mdnorm_geometry(
+    grid: HKLGrid,
+    transforms: np.ndarray,
+    det_directions: np.ndarray,
+    momentum_band: tuple[float, float],
+    solid_angles: np.ndarray,
+    flux: FluxSpectrum,
+    cache: GeomCache,
+    cache_tag: Optional[str] = None,
+    *,
+    peek: bool = False,
+) -> Tuple[GeomEntry, bool, np.ndarray, np.ndarray]:
+    """MDNorm's geometry stage through the cache, shared by every MDNorm
+    path (:func:`mdnorm`, the shard captures, :func:`prefetch_geometry`).
+
+    Returns ``(entry, hit, flux_k, flux_cum)``: ``entry`` holds the
+    (read-only) trajectory directions and clipped momentum windows.  On
+    a miss they are computed and ``entry`` is put in the cache, which a
+    disabled cache ignores.  ``peek`` looks the key up without counting
+    a hit or miss.
+    """
+    key = None
+    if cache.enabled:
+        key = GeomCache.geometry_key(
+            grid, transforms, det_directions, momentum_band, solid_angles, flux
+        )
+        entry = cache.peek(key) if peek else cache.get(key)
+        if entry is not None:
+            return (entry, True, *cache.flux_table(flux))
+    directions = trajectory_directions(transforms, det_directions)
+    k_lo, k_hi = k_window(directions, grid, *momentum_band)
+    entry = GeomEntry(
+        key=key,
+        tag=cache_tag,
+        directions=_gc.freeze(directions),
+        k_lo=_gc.freeze(k_lo),
+        k_hi=_gc.freeze(k_hi),
+    )
+    cache.put(entry)
+    return (entry, False, *cache.flux_table(flux))
 
 
 def mdnorm(
@@ -474,7 +521,13 @@ def mdnorm(
         "atomic" or "buffered" histogram accumulation (device back end
         only; see :meth:`Hist3.push_many`).
     width:
-        Padded intersection-buffer width; None runs the pre-pass.
+        Padded intersection-buffer width.  None (the default) lets the
+        batch kernel size each tile's buffer from its own crossing
+        counts and the element bodies use the grid's plane-count bound;
+        an explicit width (the MiniVATES proxy passes its pre-pass
+        result) is used for every tile and raises ``ValueError`` where
+        a trajectory has more crossings.  The histogram, and the
+        cached deposit plan, never depend on it.
     cache:
         Geometry cache; None uses the process default
         (:func:`repro.core.geom_cache.default_cache`), pass
@@ -506,75 +559,33 @@ def mdnorm(
         n_det=int(det_directions.shape[0]),
         sort_impl=sort_impl,
     ) as op_span:
-        entry: Optional[GeomEntry] = None
-        key = None
-        if cache.enabled:
-            key = GeomCache.geometry_key(
-                grid, transforms, det_directions, momentum_band, solid_angles, flux
-            )
-            entry = cache.get(key)
-        op_span.set(cache_hit=entry is not None)
-
-        if entry is not None:
-            directions = entry.directions
-            k_lo, k_hi = entry.k_lo, entry.k_hi
-            raw_width = entry.width
-        else:
-            directions = trajectory_directions(transforms, det_directions)
-            k_lo, k_hi = k_window(directions, grid, *momentum_band)
-            raw_width = None
-
-        explicit_width = width is not None
-        if width is None:
-            if raw_width is None:
-                raw_width = max_intersections(
-                    grid, transforms, det_directions, momentum_band,
-                    backend=backend, directions=directions, k_lo=k_lo, k_hi=k_hi,
-                )
-            width = raw_width
-        width = min(width, grid.max_plane_crossings)
-
-        if cache.enabled:
-            if entry is None:
-                entry = GeomEntry(
-                    key=key,
-                    tag=cache_tag,
-                    directions=_gc.freeze(directions),
-                    k_lo=_gc.freeze(k_lo),
-                    k_hi=_gc.freeze(k_hi),
-                    width=raw_width,
-                )
-                cache.put(entry)
-                directions, k_lo, k_hi = entry.directions, entry.k_lo, entry.k_hi
-            elif entry.width is None and raw_width is not None:
-                entry.width = raw_width
-                cache.note_update(entry)
-
-        flux_k, flux_cum = cache.flux_table(flux)
-
-        # The deposit plan is only built/used for the canonical (pre-pass)
-        # width, and never when charge is 0 (the stream-compaction mask
-        # would degenerate and no longer be charge-independent).
-        use_plan = cache.enabled and entry is not None and not explicit_width \
-            and charge != 0.0
-        warm_plan = bool(
-            use_plan and entry is not None and entry.deposit is not None
+        entry, hit, flux_k, flux_cum = mdnorm_geometry(
+            grid, transforms, det_directions, momentum_band, solid_angles,
+            flux, cache, cache_tag,
         )
+        if width is not None:
+            width = min(int(width), grid.max_plane_crossings)
+        # The deposit plan is never built at charge 0 (the
+        # stream-compaction mask would degenerate and no longer be
+        # charge-independent).
+        use_plan = cache.enabled and charge != 0.0
+        warm_plan = use_plan and entry.deposit is not None
         plan_bytes = entry.deposit.nbytes if warm_plan else None
-        op_span.set(width=int(width), warm_plan=warm_plan)
+        op_span.set(cache_hit=hit, warm_plan=warm_plan)
+        scratch_width = grid.max_plane_crossings if width is None else width
         captures = Captures(
             hist=hist,
             grid=grid,
-            directions=directions,
-            k_lo=k_lo,
-            k_hi=k_hi,
+            directions=entry.directions,
+            k_lo=entry.k_lo,
+            k_hi=entry.k_hi,
             solid_angles=solid_angles,
             charge=float(charge),
             flux_k=flux_k,
             flux_cum=flux_cum,
-            scratch=_Scratch(width),
+            scratch=_Scratch(scratch_width),
             fill=fill_crossings_scalar,
-            width=int(width),
+            width=width,
             tile_rows=int(tile_rows),
             sort_impl=sort_impl,
             scatter_impl=scatter_impl,
@@ -582,19 +593,24 @@ def mdnorm(
             geom_cache=cache,
             use_plan=use_plan,
         )
-        parallel_for(directions.shape[:2], MDNORM_KERNEL, captures, backend=backend)
+        parallel_for(entry.directions.shape[:2], MDNORM_KERNEL, captures,
+                     backend=backend)
         # the batch kernel reports the segments it actually deposited
-        # from; the element bodies leave the cost model's padded bound
+        # from and the widest buffer it filled; the element bodies leave
+        # the cost model their scratch width as a padded bound
         segments = getattr(captures, "live_segments", None)
+        fill_width = scratch_width
         if segments is not None:
+            fill_width = captures.fill_width
             op_span.set(live_segments=segments,
                         segment_slots=captures.segment_slots)
+        op_span.set(width=int(fill_width))
         if tracer.profile:
             from repro.util.perf import mdnorm_work
 
             op_span.set(perf=mdnorm_work(
                 int(transforms.shape[0]), int(det_directions.shape[0]),
-                int(width), warm_plan=warm_plan, segments=segments,
+                int(fill_width), warm_plan=warm_plan, segments=segments,
                 plan_bytes=plan_bytes,
             ))
         tracer.count("mdnorm.trajectories",
@@ -610,45 +626,28 @@ def prefetch_geometry(
     solid_angles: np.ndarray,
     flux,
     *,
-    backend: Optional[str] = None,
     cache: Optional[GeomCache] = None,
     cache_tag: Optional[str] = None,
 ) -> bool:
     """Warm the geometry cache for one run without depositing anything.
 
-    Runs the trajectory/window/pre-pass stages and stores the results
-    (plus the flux table) so a later :func:`mdnorm` on the same
-    configuration starts warm.  Returns True when a new entry was
-    inserted, False when the key was already cached or caching is off.
+    Runs the trajectory/window stages and stores the results (plus the
+    flux table) so a later :func:`mdnorm` on the same configuration
+    starts warm.  Returns True when a new entry was inserted, False
+    when the key was already cached or caching is off.
     """
-    transforms = np.asarray(transforms, dtype=np.float64)
-    det_directions = np.asarray(det_directions, dtype=np.float64)
-    solid_angles = np.asarray(solid_angles, dtype=np.float64)
     cache = _gc.resolve(cache)
     if not cache.enabled:
-        return False
-    key = GeomCache.geometry_key(
-        grid, transforms, det_directions, momentum_band, solid_angles, flux
-    )
-    if cache.peek(key) is not None:
         return False
     with _trace.active_tracer().span(
         "mdnorm.prefetch", kind="phase", tag=cache_tag or ""
     ):
-        directions = trajectory_directions(transforms, det_directions)
-        k_lo, k_hi = k_window(directions, grid, *momentum_band)
-        raw_width = max_intersections(
-            grid, transforms, det_directions, momentum_band,
-            backend=backend, directions=directions, k_lo=k_lo, k_hi=k_hi,
+        entry, hit, _, _ = mdnorm_geometry(
+            grid,
+            np.asarray(transforms, dtype=np.float64),
+            np.asarray(det_directions, dtype=np.float64),
+            momentum_band,
+            np.asarray(solid_angles, dtype=np.float64),
+            flux, cache, cache_tag, peek=True,
         )
-        cache.flux_table(flux)
-        return cache.put(
-            GeomEntry(
-                key=key,
-                tag=cache_tag,
-                directions=_gc.freeze(directions),
-                k_lo=_gc.freeze(k_lo),
-                k_hi=_gc.freeze(k_hi),
-                width=raw_width,
-            )
-        )
+    return not hit and cache.peek(entry.key) is entry

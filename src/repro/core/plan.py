@@ -155,7 +155,7 @@ def run_plan(
         optional ``"shard_workers"`` / ``"run_weights"``) turns on the
         hierarchical intra-run fan-out — core implementation only.
     prefetch:
-        Warm the cache (trajectory geometry + pre-pass + flux table for
+        Warm the cache (trajectory geometry + flux table for
         every run) before reducing — only meaningful for the ``core``
         implementation.
     """

@@ -24,10 +24,9 @@ deposit log *per op*.  The parent replays the logs with ``np.add.at``
 Ascending contiguous shards of the inner axis, walked op-major, is
 *exactly* the row-major scatter order of the single-process batch
 kernel — so the sharded result is **bit-identical to the unsharded
-``vectorized`` result for every shard count, worker count and
-``backend``** (the back end only picks the engine of the pre-pass, an
-integer max), including the in-process ``workers=1`` degenerate pool,
-which runs the same log/replay path.
+``vectorized`` result for every shard count and worker count**,
+including the in-process ``workers=1`` degenerate pool, which runs the
+same log/replay path.
 
 Fault model: a shard that dies with the pool (worker killed, e.g. OOM)
 surfaces as :class:`ShardExecutionError` — an ``OSError`` subclass, so
@@ -42,7 +41,7 @@ through ``on_shard`` so the PR 4 monitor can heartbeat per shard.
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,24 +49,18 @@ import numpy as np
 
 from repro.core import geom_cache as _gc
 from repro.core.binmd import binmd_deposits
-from repro.core.geom_cache import GeomCache, GeomEntry
+from repro.core.geom_cache import GeomCache
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
-from repro.core.intersections import (
-    detector_activity,
-    k_window,
-    trajectory_directions,
-)
-from repro.core.mdnorm import max_intersections, mdnorm_deposits
+from repro.core.mdnorm import mdnorm_deposits, mdnorm_geometry
+# not called here: perfbench/layers.py times the pre-pass by wrapping
+# this module's binding too, so the name must stay bound
+from repro.core.mdnorm import max_intersections  # noqa: F401
 from repro.jacc.kernels import Captures
 from repro.jacc.chunked import replay_deposits
 from repro.jacc.multiproc import _close_worker_shm, _open_captures, _Transport
 from repro.jacc.workers import GLOBAL_POOL, PROCS_ENV, parse_worker_count, resolve_workers
-from repro.mpi.decomposition import (
-    lazy_table_ranges,
-    shard_ranges,
-    weighted_shard_ranges,
-)
+from repro.mpi.decomposition import lazy_table_ranges, shard_ranges
 from repro.nexus.corrections import FluxSpectrum
 from repro.nexus.events import EventTable
 from repro.nexus.tiles import LazyEventTable, read_window
@@ -106,17 +99,10 @@ class ShardConfig:
         Process-pool size; ``None`` resolves ``REPRO_NUM_PROCS`` /
         the CPU count (validated by the shared parser).  ``1`` executes
         the shards in-process through the same log/replay path.
-    balanced:
-        Cut MDNorm's detector axis by per-detector *work* (live
-        trajectories from :func:`repro.core.intersections.
-        detector_activity`) instead of by count.  Shard boundaries
-        never change the result — the replay is in kernel order
-        either way — only how evenly the fan-out loads the pool.
     """
 
     n_shards: int
     workers: Optional[int] = None
-    balanced: bool = False
 
     def __post_init__(self) -> None:
         parse_worker_count(self.n_shards, source="n_shards")
@@ -132,13 +118,12 @@ class ShardConfig:
         cls,
         shards: Optional[int],
         workers: Optional[int] = None,
-        balanced: bool = False,
     ) -> Optional["ShardConfig"]:
         """CLI adapter: ``--shards N [--shard-workers W]``; None when
         sharding was not requested."""
         if shards is None:
             return None
-        return cls(n_shards=int(shards), workers=workers, balanced=balanced)
+        return cls(n_shards=int(shards), workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +220,6 @@ def _mdnorm_captures(
     momentum_band: tuple[float, float],
     *,
     charge: float,
-    backend: Optional[str],
     cache: Optional[GeomCache],
     cache_tag: Optional[str],
     op_span: Any = None,
@@ -244,75 +228,33 @@ def _mdnorm_captures(
     :func:`~repro.core.mdnorm.mdnorm_deposits`.
 
     Shared by the static fan-out and the stealing executor so warm
-    reruns skip the geometry work identically on every executor.  The
-    pre-pass ``width`` is an integer max (exactly associative), so the
-    captures — and every log computed from them — are bitwise
-    independent of the ``backend`` used to compute it.
+    reruns skip the geometry work identically on every executor.
     """
-    cache = _gc.resolve(cache)
-    tracer = _trace.active_tracer()
-    entry: Optional[GeomEntry] = None
-    key = None
-    if cache.enabled:
-        key = GeomCache.geometry_key(
-            grid, transforms, det_directions, momentum_band, solid_angles, flux
-        )
-        entry = cache.get(key)
+    entry, hit, flux_k, flux_cum = mdnorm_geometry(
+        grid, transforms, det_directions, momentum_band, solid_angles, flux,
+        _gc.resolve(cache), cache_tag,
+    )
     if op_span is not None:
-        op_span.set(cache_hit=entry is not None)
-
-    if entry is not None:
-        directions = entry.directions
-        k_lo, k_hi = entry.k_lo, entry.k_hi
-        raw_width = entry.width
-    else:
-        directions = trajectory_directions(transforms, det_directions)
-        k_lo, k_hi = k_window(directions, grid, *momentum_band)
-        raw_width = None
-    if raw_width is None:
-        raw_width = max_intersections(
-            grid, transforms, det_directions, momentum_band,
-            backend=backend, directions=directions, k_lo=k_lo, k_hi=k_hi,
-        )
-    width = min(raw_width, grid.max_plane_crossings)
-
-    if cache.enabled:
-        if entry is None:
-            entry = GeomEntry(
-                key=key,
-                tag=cache_tag,
-                directions=_gc.freeze(directions),
-                k_lo=_gc.freeze(k_lo),
-                k_hi=_gc.freeze(k_hi),
-                width=raw_width,
-            )
-            cache.put(entry)
-            directions, k_lo, k_hi = entry.directions, entry.k_lo, entry.k_hi
-        elif entry.width is None:
-            entry.width = raw_width
-            cache.note_update(entry)
-
-    flux_k, flux_cum = cache.flux_table(flux)
-    if op_span is not None:
-        op_span.set(width=int(width))
-        if tracer.profile:
+        op_span.set(cache_hit=hit)
+        if _trace.active_tracer().profile:
             from repro.util.perf import mdnorm_work
 
+            # shard workers size their own buffers: the parent only
+            # knows the grid's plane-count bound
             op_span.set(perf=mdnorm_work(
                 int(transforms.shape[0]), int(det_directions.shape[0]),
-                int(width), warm_plan=False,
+                grid.max_plane_crossings, warm_plan=False,
             ))
 
     return Captures(
         grid=grid,
-        directions=directions,
-        k_lo=k_lo,
-        k_hi=k_hi,
+        directions=entry.directions,
+        k_lo=entry.k_lo,
+        k_hi=entry.k_hi,
         solid_angles=solid_angles,
         charge=float(charge),
         flux_k=flux_k,
         flux_cum=flux_cum,
-        width=int(width),
     )
 
 
@@ -326,14 +268,11 @@ def mdnorm_shard_context(
     *,
     n_shards: int,
     charge: float = 1.0,
-    backend: Optional[str] = None,
     cache: Optional[GeomCache] = None,
     cache_tag: Optional[str] = None,
-    balanced: bool = False,
     op_span: Any = None,
 ) -> ShardContext:
-    """Plan one run's MDNorm as detector-range shard tasks
-    (``balanced`` cuts by per-detector work, see :class:`ShardConfig`)."""
+    """Plan one run's MDNorm as detector-range shard tasks."""
     transforms = np.asarray(transforms, dtype=np.float64)
     det_directions = np.asarray(det_directions, dtype=np.float64)
     solid_angles = np.asarray(solid_angles, dtype=np.float64)
@@ -341,16 +280,12 @@ def mdnorm_shard_context(
             "transforms must be (n_ops, 3, 3)")
     captures = _mdnorm_captures(
         hist.grid, transforms, det_directions, solid_angles, flux,
-        momentum_band, charge=charge, backend=backend, cache=cache,
-        cache_tag=cache_tag, op_span=op_span,
+        momentum_band, charge=charge, cache=cache, cache_tag=cache_tag,
+        op_span=op_span,
     )
-    if balanced:
-        ranges = weighted_shard_ranges(
-            detector_activity(captures.k_lo, captures.k_hi), n_shards)
-    else:
-        ranges = shard_ranges(int(det_directions.shape[0]), n_shards)
     return ShardContext("mdnorm", hist, captures, mdnorm_deposits,
-                        int(transforms.shape[0]), ranges)
+                        int(transforms.shape[0]),
+                        shard_ranges(int(det_directions.shape[0]), n_shards))
 
 
 def binmd_shard_context(
@@ -397,7 +332,7 @@ def replay_shard_logs(
 
 
 def _broken_pool(ctx: ShardContext, run: Optional[int],
-                 exc: BrokenProcessPool) -> ShardExecutionError:
+                 exc: BrokenExecutor) -> ShardExecutionError:
     GLOBAL_POOL.dispose()
     return ShardExecutionError(
         f"shard pool broke during {ctx.op_name} "
@@ -484,7 +419,7 @@ def _run_shards(
                         per_shard.append(future.result())
                     if on_shard is not None:
                         on_shard(s, n_ranges)
-            except BrokenProcessPool as exc:
+            except BrokenExecutor as exc:
                 raise _broken_pool(ctx, run, exc) from exc
             finally:
                 transport.close()
@@ -523,7 +458,7 @@ def execute_shard_range(
         pool = GLOBAL_POOL.executor(workers)
         return pool.submit(_shard_worker, ctx.task(
             index, captures=transport.payload, window_ref=ref)).result()
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:
         raise _broken_pool(ctx, run, exc) from exc
     finally:
         transport.close()
@@ -543,7 +478,6 @@ def sharded_mdnorm(
     *,
     shards: ShardConfig,
     charge: float = 1.0,
-    backend: Optional[str] = None,
     cache: Optional[GeomCache] = None,
     cache_tag: Optional[str] = None,
     run: Optional[int] = None,
@@ -554,12 +488,11 @@ def sharded_mdnorm(
     Same contract as :func:`repro.core.mdnorm.mdnorm` (accumulates into
     ``hist`` in place) executed as ``shards.n_shards`` detector-range
     tasks; the result is bit-identical to ``mdnorm(..., backend=
-    "vectorized")`` for every shard/worker count and every ``backend``
-    (see the module docstring).  The geometry cache is consulted
-    parent-side for trajectory directions / momentum windows / the
-    pre-pass width, so warm reruns skip the geometry stage exactly as
-    the unsharded path does (per-shard tasks themselves never touch the
-    cache).
+    "vectorized")`` for every shard/worker count (see the module
+    docstring).  The geometry cache is consulted parent-side for
+    trajectory directions and momentum windows, so warm reruns skip the
+    geometry stage exactly as the unsharded path does (per-shard tasks
+    themselves never touch the cache).
     """
     transforms = np.asarray(transforms, dtype=np.float64)
     det_directions = np.asarray(det_directions, dtype=np.float64)
@@ -581,8 +514,7 @@ def sharded_mdnorm(
         ctx = mdnorm_shard_context(
             hist, transforms, det_directions, solid_angles, flux,
             momentum_band, n_shards=shards.n_shards, charge=charge,
-            backend=backend, cache=cache, cache_tag=cache_tag,
-            balanced=shards.balanced, op_span=op_span,
+            cache=cache, cache_tag=cache_tag, op_span=op_span,
         )
         _run_shards(ctx, shards.effective_workers, run=run, on_shard=on_shard)
         tracer.count("mdnorm.trajectories",

@@ -246,7 +246,6 @@ class StreamingReduction:
                         band,
                         shards=self.shards,
                         charge=run_metadata.proton_charge,
-                        backend=self.backend,
                         cache=self.geom_cache,
                         cache_tag=f"run:{rn}",
                         run=rn,

@@ -159,7 +159,7 @@ class ReductionWorkflow:
         """Warm the geometry cache for every run before reducing.
 
         Loads each run's metadata, computes its trajectory geometry and
-        pre-pass bound and stores them (plus the flux table), so the
+        stores it (plus the flux table), so the
         subsequent :meth:`run` — or a re-reduction of the same panel —
         starts warm.  Returns the number of newly inserted entries.
         """
@@ -193,7 +193,6 @@ class ReductionWorkflow:
                     ws.momentum_band,
                     self.solid_angles,
                     self.flux,
-                    backend=cfg.backend,
                     cache=cache,
                     cache_tag=f"run:{i}",
                 )

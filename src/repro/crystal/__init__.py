@@ -15,38 +15,29 @@ Everything the reduction needs to move between reciprocal-lattice
   centering rules and a synthetic intensity model.
 """
 
-from repro.crystal.lattice import UnitCell
-from repro.crystal.ub import UBMatrix
-from repro.crystal.goniometer import (
-    rotation_about_axis,
-    goniometer_omega_chi_phi,
-    Goniometer,
-)
-from repro.crystal.symmetry import PointGroup, point_group
-from repro.crystal.structures import CrystalStructure, benzil, bixbyite
-from repro.crystal.reflections import generate_reflections, ReflectionList
-from repro.crystal.indexing import (
-    IndexingResult,
-    index_peaks,
-    indexing_error,
-    refine_ub,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "UnitCell",
-    "UBMatrix",
-    "rotation_about_axis",
-    "goniometer_omega_chi_phi",
-    "Goniometer",
-    "PointGroup",
-    "point_group",
-    "CrystalStructure",
-    "benzil",
-    "bixbyite",
-    "generate_reflections",
-    "ReflectionList",
-    "IndexingResult",
-    "index_peaks",
-    "indexing_error",
-    "refine_ub",
-]
+# public name -> defining module, imported on first use so that a
+# reduction (lattice, UB, goniometer, symmetry) does not load the sample
+# structures, reflection enumeration or indexing
+_EXPORTS = {
+    "UnitCell": "repro.crystal.lattice",
+    "UBMatrix": "repro.crystal.ub",
+    "rotation_about_axis": "repro.crystal.goniometer",
+    "goniometer_omega_chi_phi": "repro.crystal.goniometer",
+    "Goniometer": "repro.crystal.goniometer",
+    "PointGroup": "repro.crystal.symmetry",
+    "point_group": "repro.crystal.symmetry",
+    "CrystalStructure": "repro.crystal.structures",
+    "benzil": "repro.crystal.structures",
+    "bixbyite": "repro.crystal.structures",
+    "generate_reflections": "repro.crystal.reflections",
+    "ReflectionList": "repro.crystal.reflections",
+    "IndexingResult": "repro.crystal.indexing",
+    "index_peaks": "repro.crystal.indexing",
+    "indexing_error": "repro.crystal.indexing",
+    "refine_ub": "repro.crystal.indexing",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

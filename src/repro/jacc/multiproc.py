@@ -29,9 +29,8 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from concurrent.futures import BrokenExecutor
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +45,9 @@ from repro.jacc.kernels import Captures, Kernel
 from repro.jacc.workers import GLOBAL_POOL, PROCS_ENV
 from repro.util import trace as _trace
 
+if TYPE_CHECKING:  # imported where captures are shared, off the import path
+    from multiprocessing import shared_memory
+
 
 # ---------------------------------------------------------------------------
 # capture transport (parent side)
@@ -59,6 +61,8 @@ class _Transport:
     """One launch's shared-memory blocks + capture payload."""
 
     def __init__(self, captures: Captures) -> None:
+        from multiprocessing import shared_memory
+
         self.payload: Dict[str, Tuple[str, ...]] = {}
         self.blocks: List[shared_memory.SharedMemory] = []
         self.writebacks: List[Tuple[np.ndarray, shared_memory.SharedMemory,
@@ -172,6 +176,8 @@ def _unwrap_traced(result: Any, tracer: "_trace.Tracer") -> Any:
 def _open_captures(
     payload: Dict[str, Tuple[str, ...]],
 ) -> Tuple[Captures, List[shared_memory.SharedMemory], Dict[str, RecordingHist3]]:
+    from multiprocessing import shared_memory
+
     ctx = Captures()
     opened: List[shared_memory.SharedMemory] = []
     hists: Dict[str, RecordingHist3] = {}
@@ -254,7 +260,7 @@ class MultiprocessBackend(ChunkedBackend):
                            for t in tasks]
                 results = [_unwrap_traced(f.result(), tracer)
                            for f in futures]
-            except BrokenProcessPool as exc:
+            except BrokenExecutor as exc:
                 GLOBAL_POOL.dispose()
                 raise BackendError(
                     "multiprocess worker pool broke mid-launch "

@@ -34,13 +34,15 @@ functions (the conformance suite runs in both regimes).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.jacc.backend import BackendError
+
+if TYPE_CHECKING:  # imported where a pool starts, off the reduction's import path
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
 #: environment variables the CPU engines honour
 THREADS_ENV = "REPRO_NUM_THREADS"
@@ -96,6 +98,8 @@ def resolve_workers(env_name: str, explicit: Optional[int] = None) -> int:
 
 
 def _mp_context() -> multiprocessing.context.BaseContext:
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
@@ -127,6 +131,8 @@ class WorkerPool:
 
     def executor(self, n_workers: int) -> ProcessPoolExecutor:
         """The shared pool, (re)created to hold ``n_workers`` processes."""
+        from concurrent.futures import ProcessPoolExecutor
+
         n_workers = parse_worker_count(n_workers, source="n_workers")
         with self._lock:
             if self._pool is not None and self._size == n_workers:

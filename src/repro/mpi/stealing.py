@@ -425,7 +425,7 @@ def run_stealing_campaign(
         exec_env = _ExecEnv(
             state=state, grid=grid, point_group=point_group, flux=flux,
             det_directions=det_directions, solid_angles=solid_angles,
-            backend=backend, cache=cache, recovery=recovery, ckpt=ckpt,
+            cache=cache, recovery=recovery, ckpt=ckpt,
             workers=workers, timings=timings, monitor=monitor,
             load_run=load_run, comm=comm,
         )
@@ -638,7 +638,6 @@ class _ExecEnv:
     flux: FluxSpectrum
     det_directions: np.ndarray
     solid_angles: np.ndarray
-    backend: Optional[str]
     cache: Any
     recovery: Optional[RecoveryConfig]
     ckpt: Any
@@ -870,7 +869,7 @@ def _context(env: _ExecEnv, run: int, stage: str) -> ShardContext:
                 Hist3(env.grid), traj_transforms, env.det_directions,
                 env.solid_angles, env.flux, ws.momentum_band,
                 n_shards=state.n_shards, charge=ws.proton_charge,
-                backend=env.backend, cache=env.cache,
+                cache=env.cache,
                 cache_tag=f"run:{run}",
             )
         else:

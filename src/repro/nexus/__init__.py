@@ -16,57 +16,40 @@ provides:
   normalization requires.
 """
 
-from repro.nexus.h5lite import File, Group, Dataset, H5LiteError
-from repro.nexus.events import (
-    RunData,
-    EventTable,
-    COL_SIGNAL,
-    COL_ERROR_SQ,
-    COL_RUN_INDEX,
-    COL_DETECTOR_ID,
-    COL_GONIOMETER_INDEX,
-    COL_QX,
-    COL_QY,
-    COL_QZ,
-    N_EVENT_COLUMNS,
-)
-from repro.nexus.schema import write_event_nexus, read_event_nexus, NXEntryInfo
-from repro.nexus.filtering import filter_time_window, split_by_time, run_duration
-from repro.nexus.corrections import (
-    FluxSpectrum,
-    VanadiumData,
-    write_flux_file,
-    read_flux_file,
-    write_vanadium_file,
-    read_vanadium_file,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "File",
-    "Group",
-    "Dataset",
-    "H5LiteError",
-    "RunData",
-    "EventTable",
-    "COL_SIGNAL",
-    "COL_ERROR_SQ",
-    "COL_RUN_INDEX",
-    "COL_DETECTOR_ID",
-    "COL_GONIOMETER_INDEX",
-    "COL_QX",
-    "COL_QY",
-    "COL_QZ",
-    "N_EVENT_COLUMNS",
-    "write_event_nexus",
-    "read_event_nexus",
-    "NXEntryInfo",
-    "filter_time_window",
-    "split_by_time",
-    "run_duration",
-    "FluxSpectrum",
-    "VanadiumData",
-    "write_flux_file",
-    "read_flux_file",
-    "write_vanadium_file",
-    "read_vanadium_file",
-]
+# public name -> defining module, imported on first use so that a
+# reduction (h5lite, events, corrections) does not load the NeXus event
+# schema or the time filters
+_EXPORTS = {
+    "File": "repro.nexus.h5lite",
+    "Group": "repro.nexus.h5lite",
+    "Dataset": "repro.nexus.h5lite",
+    "H5LiteError": "repro.nexus.h5lite",
+    "RunData": "repro.nexus.events",
+    "EventTable": "repro.nexus.events",
+    "COL_SIGNAL": "repro.nexus.events",
+    "COL_ERROR_SQ": "repro.nexus.events",
+    "COL_RUN_INDEX": "repro.nexus.events",
+    "COL_DETECTOR_ID": "repro.nexus.events",
+    "COL_GONIOMETER_INDEX": "repro.nexus.events",
+    "COL_QX": "repro.nexus.events",
+    "COL_QY": "repro.nexus.events",
+    "COL_QZ": "repro.nexus.events",
+    "N_EVENT_COLUMNS": "repro.nexus.events",
+    "write_event_nexus": "repro.nexus.schema",
+    "read_event_nexus": "repro.nexus.schema",
+    "NXEntryInfo": "repro.nexus.schema",
+    "filter_time_window": "repro.nexus.filtering",
+    "split_by_time": "repro.nexus.filtering",
+    "run_duration": "repro.nexus.filtering",
+    "FluxSpectrum": "repro.nexus.corrections",
+    "VanadiumData": "repro.nexus.corrections",
+    "write_flux_file": "repro.nexus.corrections",
+    "read_flux_file": "repro.nexus.corrections",
+    "write_vanadium_file": "repro.nexus.corrections",
+    "read_vanadium_file": "repro.nexus.corrections",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

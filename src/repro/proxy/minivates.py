@@ -8,7 +8,11 @@ Reproduces the structure of MiniVATES.jl one element at a time:
 * explicit **host -> device transfers** of the event table, detector
   geometry and vanadium weights (counted by the back end);
 * the **max-intersections pre-pass** with its device -> host copy
-  (JACC's ``parallel_reduce`` has no MAX — the documented workaround);
+  (JACC's ``parallel_reduce`` has no MAX — the documented workaround),
+  run for every file to size the device intersection buffer before the
+  MDNorm kernel launches — the only caller of
+  :func:`repro.core.mdnorm.max_intersections`, since the reduction's
+  batch kernel sizes its buffers itself;
 * the in-kernel **comb sort** (``sort_impl="comb"``; "library" is the
   ablation alternative);
 * genuine **JIT accounting**: with ``cold_start=True`` the kernel
@@ -34,7 +38,7 @@ from repro.core.cross_section import CrossSectionResult, compute_cross_section
 from repro.core.geom_cache import DISABLED, GeomCache
 from repro.core.grid import HKLGrid
 from repro.core.md_event_workspace import MDEventWorkspace, load_md
-from repro.core.mdnorm import mdnorm
+from repro.core.mdnorm import max_intersections, mdnorm
 from repro.crystal.symmetry import PointGroup
 from repro.instruments.detector import DetectorArray
 from repro.jacc.api import get_backend
@@ -107,7 +111,7 @@ class MiniVatesWorkflow:
         if cfg.cold_start:
             GLOBAL_JIT.clear()
         # a cold start measures the from-scratch pipeline: no memoized
-        # geometry, the pre-pass D2H workaround really runs
+        # geometry or deposit plans
         cache = DISABLED if cfg.cold_start else _gc.resolve(cfg.geom_cache)
         device.reset_counters()
 
@@ -130,6 +134,21 @@ class MiniVatesWorkflow:
                 ws.events = EventTable(device.to_device(ws.events.data))
                 return ws
 
+            def mdnorm_impl(hist, transforms, det_directions, solid_angles,
+                            flux, band, charge=1.0):
+                # the device buffer is allocated before the kernel runs,
+                # so its width comes from the pre-pass (D2H copy included)
+                width = max_intersections(
+                    cfg.grid, transforms, det_directions, band,
+                    backend=DEVICE_BACKEND,
+                )
+                return mdnorm(
+                    hist, transforms, det_directions, solid_angles, flux,
+                    band, charge=charge, backend=DEVICE_BACKEND,
+                    sort_impl=cfg.sort_impl, scatter_impl=cfg.scatter_impl,
+                    width=width, cache=cache,
+                )
+
             result = compute_cross_section(
                 load_run=load_run,
                 n_runs=len(paths),
@@ -140,9 +159,9 @@ class MiniVatesWorkflow:
                 solid_angles=solid_angles,
                 comm=comm,
                 backend=DEVICE_BACKEND,
-                sort_impl=cfg.sort_impl,
                 scatter_impl=cfg.scatter_impl,
                 timings=timings or StageTimings(label="minivates"),
+                mdnorm_impl=mdnorm_impl,
                 cache=cache,
                 recovery=cfg.recovery,
             )

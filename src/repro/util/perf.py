@@ -126,8 +126,11 @@ def mdnorm_work(
 ) -> Dict[str, float]:
     """Cost-model work of one MDNorm launch.
 
-    ``width`` is the padded intersection-buffer width (pre-pass bound
-    + 2 endpoints); plane crossings are bounded by ``width - 2``.
+    ``width`` is the padded intersection-buffer width: the widest tile
+    the batch kernel filled, or the grid's plane-count bound for the
+    element bodies (their scratch width) and shard fan-outs (whose
+    workers size their own); plane crossings are bounded by
+    ``width - 2``.
     ``segments`` is the number of segments the launch deposited from,
     when the kernel reported it; otherwise the padded bound of
     ``width - 1`` per trajectory is used.  A warm launch (cached

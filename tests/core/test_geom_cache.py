@@ -321,26 +321,30 @@ class TestMdnormCachedEqualsUncached:
                    backend="vectorized", cache=cache)
             assert h.total() == 0.0
 
-    def test_explicit_width_bypasses_plan_but_stays_exact(self):
+    def test_explicit_width_builds_plan_and_stays_exact(self):
+        """An explicit width builds and replays the deposit plan like
+        the self-sized default; cold and warm both stay exact."""
         grid, transforms, dets, solid, flux, band, charge = _random_case(9)
         ref = Hist3(grid)
         mdnorm(ref, transforms, dets, solid, flux, band, charge=charge,
-               backend="vectorized", cache=DISABLED, width=64)
+               backend="vectorized", cache=DISABLED)
         cache = GeomCache()
         for _ in range(2):
             h = Hist3(grid)
             mdnorm(h, transforms, dets, solid, flux, band, charge=charge,
                    backend="vectorized", cache=cache, width=64)
             assert np.array_equal(h.signal, ref.signal)
+        entries = [cache.peek(k) for k in cache.keys()]
+        assert any(getattr(e, "deposit", None) is not None for e in entries)
 
     def test_prefetch_then_reduce(self):
         grid, transforms, dets, solid, flux, band, charge = _random_case(11)
         cache = GeomCache()
         assert prefetch_geometry(grid, transforms, dets, band, solid, flux,
-                                 backend="vectorized", cache=cache)
+                                 cache=cache)
         # idempotent: already warmed
         assert not prefetch_geometry(grid, transforms, dets, band, solid, flux,
-                                     backend="vectorized", cache=cache)
+                                     cache=cache)
         ref = Hist3(grid)
         mdnorm(ref, transforms, dets, solid, flux, band, charge=charge,
                backend="vectorized", cache=DISABLED)

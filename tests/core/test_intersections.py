@@ -143,6 +143,24 @@ class TestFilling:
             # padding beyond the live region is k_hi
             assert np.allclose(padded[i][n:], hi[i])
 
+    def test_batch_fill_sizes_its_own_buffer(self, grid):
+        """With no width the fill is exactly ``2 + max crossings`` wide,
+        and its sorted rows are those of a wider explicit buffer minus
+        the extra ``k_hi`` padding."""
+        rng = np.random.default_rng(5)
+        d = rng.normal(size=(50, 3))
+        lo, hi = k_window(d, grid, 0.5, 8.0)
+        needed = int(count_crossings_batch(d, grid, lo, hi).max()) + 2
+        auto = fill_crossings_batch(d, grid, lo, hi)
+        assert auto.shape == (50, needed)
+        wide = fill_crossings_batch(d, grid, lo, hi, needed + 7)
+        assert np.array_equal(np.sort(auto, axis=1),
+                              np.sort(wide, axis=1)[:, :needed])
+        # the self-sized width is also the smallest an explicit one may be
+        fill_crossings_batch(d, grid, lo, hi, needed)
+        with pytest.raises(ValueError, match="width"):
+            fill_crossings_batch(d, grid, lo, hi, needed - 1)
+
     def test_batch_width_too_small_raises(self, grid):
         d = np.array([[0.31, 0.17, 0.05]])
         lo, hi = k_window(d, grid, 0.5, 9.0)

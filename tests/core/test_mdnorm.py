@@ -226,7 +226,7 @@ class TestBatchPath:
                         sort_impl="comb")
         assert ref.signal.sum() > 0
         for sort_impl in ("comb", "library"):
-            for width in (prepass, prepass + 5, grid.max_plane_crossings):
+            for width in (None, prepass, prepass + 5, grid.max_plane_crossings):
                 got = self._run(case, tile_rows=tile_rows, width=width,
                                 scatter_impl=scatter_impl, sort_impl=sort_impl)
                 assert np.array_equal(got.signal, ref.signal), (sort_impl, width)
@@ -254,10 +254,18 @@ class TestBatchPath:
         assert np.all((plan.flat_idx >= 0) & (plan.flat_idx < case[0].n_bins_total))
         assert not plan.row.flags.writeable and not plan.seg_flux.flags.writeable
 
-    def test_no_plan_at_explicit_width(self, case):
-        cache = GeomCache()
-        self._run(case, cache=cache, width=case[0].max_plane_crossings)
-        assert all(e.deposit is None for e in _geometry(cache))
+    def test_explicit_width_builds_same_plan(self, case):
+        """The deposit plan never depends on the buffer width, so an
+        explicit width builds the plan a self-sized fill builds."""
+        plans = []
+        for width in (None, case[0].max_plane_crossings):
+            cache = GeomCache()
+            self._run(case, cache=cache, width=width)
+            (entry,) = _geometry(cache)
+            plans.append(entry.deposit)
+        auto, explicit = plans
+        for name in ("live", "row", "seg_flux", "flat_idx"):
+            assert np.array_equal(getattr(explicit, name), getattr(auto, name)), name
 
     def test_no_plan_at_zero_charge(self, case):
         grid, flux, dets, solid = case

@@ -3,8 +3,9 @@
 Every rank of a campaign pays its interpreter's imports before the first
 event is read, so the reduction modules must not pull in synthesis
 (scipy's KD-tree, event generation), analysis (peak finding, rendering,
-reduced-data output), plans, streaming, the benchmark harness or the
-campaign service at module scope.  Each check runs in a fresh
+reduced-data output), plans, streaming, the benchmark harness, the
+campaign service, the sample structures, the NeXus schema or the
+process-pool machinery at module scope.  Each check runs in a fresh
 interpreter, because this test process has long since imported
 everything.
 """
@@ -30,12 +31,21 @@ NOT_IN_REDUCTION = (
     "repro.core.output",
     "repro.bench.harness",
     "repro.service",
+    "repro.crystal.structures",
+    "repro.crystal.reflections",
+    "repro.crystal.indexing",
+    "repro.nexus.schema",
+    "repro.nexus.filtering",
+    # the shard pool and shared-memory transport load when a pool starts
+    "multiprocessing",
+    "concurrent.futures.process",
 )
 
 #: modules the CLI must leave unloaded until a subcommand needs them
 NOT_IN_CLI = ("repro.bench.harness", "repro.baseline", "repro.proxy", "scipy")
 
-PACKAGES = ("repro", "repro.core", "repro.instruments", "repro.bench")
+PACKAGES = ("repro", "repro.core", "repro.instruments", "repro.bench",
+            "repro.crystal", "repro.nexus")
 
 
 def _run(code: str):
