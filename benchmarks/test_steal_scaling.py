@@ -13,11 +13,12 @@ in the schedule policy:
   owner-block plan (proven by the conformance suite in
   ``tests/integration/test_stealing.py``), so the comparison isolates
   the scheduling decision from every other execution detail;
-* contender: ``weighted``, where the idle rank steals the heavy run's
-  shard tasks off its owner's queue tail.
+* contender: ``weighted``, where the idle rank steals (run, stage)
+  cells — the heavy run's BinMD among them — off its owner's queue
+  tail.
 
-With the pool executing each claimed shard task, the no-steal leg keeps
-one task in flight (the light rank drains and idles) while the
+Each cell fans its shards out on the pool.  The no-steal leg keeps one
+cell in flight once the light rank drains and idles, while the
 stealing leg keeps two — so the win is only physically possible with
 >= 2 cores.  Single-core hosts skip the speedup assertion but still
 check bit-identity and that steals actually happened, so the smoke
@@ -48,7 +49,7 @@ N_PIXELS = max(24, int(200_000 * SCALE))
 @pytest.fixture(scope="module")
 def skewed(tmp_path_factory):
     """One heavy run + three light runs: the worst case for a static
-    owner-block plan, the best case for shard-level stealing."""
+    owner-block plan."""
     from repro.core.grid import HKLGrid
     from repro.core.md_event_workspace import convert_to_md, load_md, save_md
     from repro.crystal.goniometer import Goniometer

@@ -148,9 +148,10 @@ def _add_shard_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--executor", choices=("static", "stealing"),
                    default=None,
                    help="campaign executor: the fixed rank-block plan "
-                        "(static, default) or elastic work-stealing over "
-                        "the rank x shard grid (bit-identical results "
-                        "for every steal schedule)")
+                        "(static, default) or elastic work-stealing of "
+                        "each run's MDNorm and BinMD (--shards fan out "
+                        "inside them; bit-identical results for every "
+                        "steal schedule)")
     g.add_argument("--steal-seed", type=int, default=0, metavar="SEED",
                    help="seed of the steal schedule (--executor stealing)")
 

@@ -21,8 +21,9 @@ and its delta is added to the rank's totals in ascending run order
 (:class:`RunFold`); resilience — retry, quarantine, checkpoint/resume,
 cancellation, crash takeover — is the failure policy around that loop
 (``recovery``), and ``recovery=None`` is its no-op policy.  The
-per-run pieces below (load, dispositions, fold, result assembly) are
-shared with the work-stealing executor (:mod:`repro.mpi.stealing`).
+per-run pieces below (load, the stage code :func:`run_stage`,
+dispositions, fold, result assembly) are shared with the work-stealing
+executor (:mod:`repro.mpi.stealing`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.core.md_event_workspace import MDEventWorkspace
 from repro.core.mdnorm import mdnorm
 from repro.core.sharding import ShardConfig, sharded_binmd, sharded_mdnorm
 from repro.crystal.symmetry import PointGroup
-from repro.mpi import SUM, Comm, SequentialComm, balanced_rank_runs, rank_range
+from repro.mpi import MIN, SUM, Comm, SequentialComm, balanced_rank_runs, rank_range
 from repro.nexus.corrections import FluxSpectrum
 from repro.util import faults as _faults
 from repro.util import monitor as _monitor
@@ -139,21 +140,21 @@ def _is_lazy(events: Any) -> bool:
 _OOC_FALLBACK = ShardConfig(n_shards=1, workers=1)
 
 
-def _rank_block(
-    n_runs: int, comm: Comm, run_weights: Optional[Sequence[float]]
+def rank_block(
+    n_runs: int, rank: int, size: int, run_weights: Optional[Sequence[float]]
 ) -> Tuple[int, int]:
-    """This rank's contiguous run block — weight-balanced when the run
+    """``rank``'s contiguous run block — weight-balanced when the run
     manifest supplies per-run event counts, classic equal-count block
     otherwise (the two coincide for uniform weights)."""
     if run_weights is None:
-        return rank_range(n_runs, comm.rank, comm.size)
+        return rank_range(n_runs, rank, size)
     require(len(run_weights) == n_runs,
             f"run_weights has {len(run_weights)} entries for {n_runs} runs")
-    return balanced_rank_runs(run_weights, comm.size)[comm.rank]
+    return balanced_rank_runs(run_weights, size)[rank]
 
 
 def _shard_beat(
-    monitor: Any, comm: Comm, i: int, stage: str
+    monitor: Any, rank: int, i: int, stage: str
 ) -> Optional[Callable[[int, int], None]]:
     """Per-shard heartbeat callback for the live monitor (PR 4), so a
     wedged shard ages a ``run:<i>/<stage>/shard:<s>`` site rather than
@@ -163,7 +164,7 @@ def _shard_beat(
 
     def beat(s: int, n_shards: int) -> None:
         monitor.heartbeat(
-            comm.rank, site=f"run:{i}/{stage}/shard:{s + 1}of{n_shards}"
+            rank, site=f"run:{i}/{stage}/shard:{s + 1}of{n_shards}"
         )
 
     return beat
@@ -220,6 +221,97 @@ def call_run(
         on_retry=on_retry,
         **retry_kwargs,
     )
+
+
+#: a run's two kernel stages, in the order the static loop runs them
+STAGES = ("mdnorm", "binmd")
+_STAGE_TITLES = {"mdnorm": "MDNorm", "binmd": "BinMD"}
+
+
+@dataclass(frozen=True)
+class CampaignInputs:
+    """What a run's stages read besides the run itself: the campaign's
+    instrument inputs, kernel options and reporting sinks."""
+
+    grid: HKLGrid
+    point_group: PointGroup
+    flux: FluxSpectrum
+    det_directions: np.ndarray
+    solid_angles: np.ndarray
+    backend: Optional[str]
+    sort_impl: str
+    scatter_impl: str
+    binmd_impl: Optional[Callable]
+    mdnorm_impl: Optional[Callable]
+    cache: GeomCache
+    shards: Optional[ShardConfig]
+    timings: StageTimings
+    monitor: Any
+
+
+def run_stage(
+    c: CampaignInputs, stage: str, i: int, ws: MDEventWorkspace, *, rank: int
+) -> Hist3:
+    """Run ``i``'s MDNorm or BinMD into a fresh scratch histogram, so a
+    failed attempt never leaves a partial deposit (retry safety).
+
+    The kernel is the stage's ``*_impl`` override when set, else the
+    shard fan-out when ``shards`` is set (BinMD of an out-of-core run
+    always fans out, in-process at least), else the plain kernel on
+    ``backend``.  Both executors call this.  The kernels are looked up
+    in this module's namespace on every call, so a wrapper bound there
+    (perfbench's layer timers) sees the stages of both executors."""
+    title = _STAGE_TITLES[stage]
+    if c.monitor.enabled:
+        c.monitor.heartbeat(rank, site=f"run:{i}/{title}", run=i)
+    on_shard = _shard_beat(c.monitor, rank, i, title)
+    if stage == "mdnorm":
+        hist = Hist3(c.grid)
+        transforms = c.grid.transforms_for(
+            ws.ub_matrix, c.point_group, goniometer=ws.goniometer
+        )
+        with c.timings.stage(title):
+            _faults.fault_point("kernel.mdnorm", run=i)
+            if c.mdnorm_impl is not None:
+                c.mdnorm_impl(
+                    hist, transforms, c.det_directions, c.solid_angles,
+                    c.flux, ws.momentum_band, charge=ws.proton_charge,
+                )
+            elif c.shards is not None:
+                sharded_mdnorm(
+                    hist, transforms, c.det_directions, c.solid_angles,
+                    c.flux, ws.momentum_band, shards=c.shards,
+                    charge=ws.proton_charge, cache=c.cache,
+                    cache_tag=f"run:{i}", run=i, on_shard=on_shard,
+                )
+            else:
+                mdnorm(
+                    hist, transforms, c.det_directions, c.solid_angles,
+                    c.flux, ws.momentum_band, charge=ws.proton_charge,
+                    backend=c.backend, sort_impl=c.sort_impl,
+                    scatter_impl=c.scatter_impl, cache=c.cache,
+                    cache_tag=f"run:{i}",
+                )
+        return hist
+    hist = Hist3(c.grid, track_errors=True)
+    transforms = c.grid.transforms_for(ws.ub_matrix, c.point_group)
+    with c.timings.stage(title):
+        _faults.fault_point("kernel.binmd", run=i)
+        if c.binmd_impl is not None:
+            c.binmd_impl(hist, ws.events, transforms)
+        elif c.shards is not None or _is_lazy(ws.events):
+            sharded_binmd(
+                hist, ws.events, transforms,
+                shards=c.shards if c.shards is not None else _OOC_FALLBACK,
+                run=i, on_shard=on_shard,
+            )
+        else:
+            bin_events(
+                hist, ws.events, transforms, backend=c.backend,
+                scatter_impl=c.scatter_impl, cache=c.cache,
+                cache_tag=f"run:{i}",
+            )
+    return hist
 
 
 def resume_disposition(
@@ -393,7 +485,7 @@ def root_result(
     )
 
 
-def _check_cancel(recovery: Optional[RecoveryConfig], where: str) -> None:
+def check_cancel(recovery: Optional[RecoveryConfig], where: str) -> None:
     """Cooperative cancellation between durable units: every run
     completed so far is already checkpointed, so stopping here leaves
     the campaign resumable bit-identically."""
@@ -404,6 +496,15 @@ def _check_cancel(recovery: Optional[RecoveryConfig], where: str) -> None:
     except CancelledError:
         _trace.active_tracer().count("campaign.cancelled")
         raise
+
+
+def recovery_cancel_scope(recovery: Optional[RecoveryConfig]) -> Any:
+    """Install the campaign's cancel token as this thread's ambient
+    token, so an in-process shard fan-out checks it between shards; no
+    scope under the no-op failure policy."""
+    if recovery is None:
+        return contextlib.nullcontext()
+    return _cancel.cancel_scope(recovery.cancel)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +605,8 @@ def compute_cross_section(
         ``vectorized`` loop for every shard/worker count, whatever
         ``backend`` names.
         Ignored for a stage whose ``*_impl`` override is set (the
-        override owns its own parallelism).
+        override owns its own parallelism).  The same under both
+        executors: stealing fans shards out inside each cell.
     run_weights:
         Optional per-run event weights (from the run manifest).  When
         given, ranks take weight-balanced contiguous run blocks
@@ -513,8 +615,10 @@ def compute_cross_section(
     executor:
         One of :data:`EXECUTORS`.  ``None``/``"static"`` is the fixed
         rank-block plan below; ``"stealing"`` dispatches to the elastic
-        work-stealing executor (:mod:`repro.mpi.stealing`), whose
-        result is bit-identical to the static plan with a checkpoint
+        work-stealing executor (:mod:`repro.mpi.stealing`), whose ranks
+        steal (run, stage) cells and run each with :func:`run_stage`,
+        this loop's stage code.  Its result is bit-identical to this
+        loop with the same options on one rank, or with a checkpoint,
         for every steal schedule.
     schedule:
         Stealing executor only: a
@@ -548,15 +652,21 @@ def compute_cross_section(
     monitor = _monitor.active_monitor()
     ckpt = recovery.checkpoint if recovery is not None else None
 
+    inputs = CampaignInputs(
+        grid=grid, point_group=point_group, flux=flux,
+        det_directions=det_directions, solid_angles=solid_angles,
+        backend=backend, sort_impl=sort_impl, scatter_impl=scatter_impl,
+        binmd_impl=binmd_impl, mdnorm_impl=mdnorm_impl, cache=cache,
+        shards=shards, timings=timings, monitor=monitor,
+    )
     # this rank's totals (under a checkpoint the root rebuilds the
     # result from the durable deltas instead)
     fold = RunFold(grid)
     dispositions: Dict[int, Dict[str, Any]] = {}
 
     def compute_run(i: int, attempt_no: int) -> Tuple[Hist3, Hist3, int, int]:
-        """Run ``i``'s contribution in fresh scratch histograms, so a
-        failed attempt never leaves a partial deposit (retry safety);
-        returns them with the run's event count and ``attempt_no``."""
+        """Run ``i``'s two stage histograms, its event count and
+        ``attempt_no``."""
         if monitor.enabled:
             # announce the run *before* its fault point so a slow /
             # wedged run ages this heartbeat (stall detection)
@@ -564,59 +674,9 @@ def compute_cross_section(
                 comm.rank, site=f"run:{i}/UpdateEvents", run=i
             )
         _faults.fault_point("run", run=i)
-        scratch_b = Hist3(grid, track_errors=True)
-        scratch_m = Hist3(grid)
         ws = load_checked(load_run, i, timings)
-        event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
-        traj_transforms = grid.transforms_for(
-            ws.ub_matrix, point_group, goniometer=ws.goniometer
-        )
-        if monitor.enabled:
-            monitor.heartbeat(comm.rank, site=f"run:{i}/MDNorm")
-        with timings.stage("MDNorm"):
-            _faults.fault_point("kernel.mdnorm", run=i)
-            if mdnorm_impl is not None:
-                mdnorm_impl(
-                    scratch_m, traj_transforms, det_directions,
-                    solid_angles, flux, ws.momentum_band,
-                    charge=ws.proton_charge,
-                )
-            elif shards is not None:
-                sharded_mdnorm(
-                    scratch_m, traj_transforms, det_directions,
-                    solid_angles, flux, ws.momentum_band,
-                    shards=shards, charge=ws.proton_charge,
-                    cache=cache, cache_tag=f"run:{i}",
-                    run=i,
-                    on_shard=_shard_beat(monitor, comm, i, "MDNorm"),
-                )
-            else:
-                mdnorm(
-                    scratch_m, traj_transforms, det_directions,
-                    solid_angles, flux, ws.momentum_band,
-                    charge=ws.proton_charge, backend=backend,
-                    sort_impl=sort_impl, scatter_impl=scatter_impl,
-                    cache=cache, cache_tag=f"run:{i}",
-                )
-        if monitor.enabled:
-            monitor.heartbeat(comm.rank, site=f"run:{i}/BinMD")
-        with timings.stage("BinMD"):
-            _faults.fault_point("kernel.binmd", run=i)
-            if binmd_impl is not None:
-                binmd_impl(scratch_b, ws.events, event_transforms)
-            elif shards is not None or _is_lazy(ws.events):
-                sharded_binmd(
-                    scratch_b, ws.events, event_transforms,
-                    shards=shards if shards is not None else _OOC_FALLBACK,
-                    run=i,
-                    on_shard=_shard_beat(monitor, comm, i, "BinMD"),
-                )
-            else:
-                bin_events(
-                    scratch_b, ws.events, event_transforms,
-                    backend=backend, scatter_impl=scatter_impl,
-                    cache=cache, cache_tag=f"run:{i}",
-                )
+        scratch_m = run_stage(inputs, "mdnorm", i, ws, rank=comm.rank)
+        scratch_b = run_stage(inputs, "binmd", i, ws, rank=comm.rank)
         return scratch_b, scratch_m, n_events(ws), attempt_no
 
     def process_run(i: int) -> None:
@@ -650,7 +710,7 @@ def compute_cross_section(
                 rank=comm.rank, monitor=monitor, events=events,
             )
 
-    start, end = _rank_block(n_runs, comm, run_weights)
+    start, end = rank_block(n_runs, comm.rank, comm.size, run_weights)
     my_runs = list(range(start, end))
     if monitor.enabled:
         monitor.start_campaign(n_runs, comm.size)
@@ -668,12 +728,9 @@ def compute_cross_section(
         mpi_rank=int(comm.rank),
         mpi_size=int(comm.size),
         **span_attrs,
-    ), timings.stage("Total"), (
-        _cancel.cancel_scope(recovery.cancel) if recovery is not None
-        else contextlib.nullcontext()
-    ):
+    ), timings.stage("Total"), recovery_cancel_scope(recovery):
         for i in my_runs:
-            _check_cancel(recovery, f"campaign (before run {i})")
+            check_cancel(recovery, f"campaign (before run {i})")
             try:
                 process_run(i)
             except _faults.RankCrashError:
@@ -706,7 +763,7 @@ def compute_cross_section(
                 takeover = [r for idx, r in enumerate(backlog)
                             if idx % len(alive) == pos_in_alive]
                 for i in takeover:
-                    _check_cancel(recovery, f"campaign (before takeover run {i})")
+                    check_cancel(recovery, f"campaign (before takeover run {i})")
                     # a crash here is a double fault: fail loudly
                     process_run(i)
 
@@ -724,14 +781,22 @@ def compute_cross_section(
             with tracer.span("mpi_reduce", kind="mpi",
                              mpi_rank=int(comm.rank), mpi_size=int(comm.size)):
                 is_root = comm.rank == eff_root
-                binmd_total = np.empty_like(fold.binmd.signal) if is_root else None
-                mdnorm_total = np.empty_like(fold.mdnorm.signal) if is_root else None
-                comm.Reduce(fold.binmd.signal, binmd_total, op=SUM, root=eff_root)
-                comm.Reduce(fold.mdnorm.signal, mdnorm_total, op=SUM, root=eff_root)
+                # a rank without runs holds zero errors, but one run
+                # without errors leaves the total without them: every
+                # rank must agree before the reduction
+                with_errors = comm.allreduce(
+                    fold.binmd.error_sq is not None, op=MIN)
+                parts = [fold.binmd.signal, fold.mdnorm.signal]
+                if with_errors:
+                    parts.append(fold.binmd.error_sq)
+                totals = [np.empty_like(p) if is_root else None for p in parts]
+                for part, total in zip(parts, totals):
+                    comm.Reduce(part, total, op=SUM, root=eff_root)
             if not is_root:
                 return non_root_result(timings, n_runs, backend)
-            binmd_out = Hist3(grid, signal=binmd_total)
-            mdnorm_out = Hist3(grid, signal=mdnorm_total)
+            binmd_out = Hist3(grid, signal=totals[0],
+                              error_sq=totals[2] if with_errors else None)
+            mdnorm_out = Hist3(grid, signal=totals[1])
         cross = binmd_out.divide(mdnorm_out)
     return root_result(
         binmd_out, mdnorm_out, cross, timings=timings, n_runs=n_runs,

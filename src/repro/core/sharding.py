@@ -161,9 +161,8 @@ def _shard_worker(task: Dict[str, Any]) -> List[Log]:
 
 
 # ---------------------------------------------------------------------------
-# shard contexts: one run-stage's captures + planned ranges, reusable by
-# any executor (the static fan-out below, the stealing executor in
-# repro.mpi.stealing)
+# shard contexts: one run-stage's captures + planned ranges, executed by
+# the fan-out below (or range by range through execute_shard_range)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -227,8 +226,8 @@ def _mdnorm_captures(
     """MDNorm's geometry stage (cache-aware) packed into the captures of
     :func:`~repro.core.mdnorm.mdnorm_deposits`.
 
-    Shared by the static fan-out and the stealing executor so warm
-    reruns skip the geometry work identically on every executor.
+    Cache-aware, so warm reruns skip the geometry work as the unsharded
+    path does.
     """
     entry, hit, flux_k, flux_cum = mdnorm_geometry(
         grid, transforms, det_directions, momentum_band, solid_angles, flux,
@@ -438,11 +437,12 @@ def execute_shard_range(
     """Execute one planned range of a context; return its deposit logs.
 
     No replay happens here — callers collect logs (possibly from ranges
-    executed by different ranks, out of order) and fold them with
-    :func:`replay_shard_logs` once every planned range has reported.
+    executed out of order) and fold them with :func:`replay_shard_logs`
+    once every planned range has reported.  The campaign executors fan
+    shards out through :func:`_run_shards` and do not call this.
     ``workers > 1`` ships the single range to the node-local process
-    pool (one task, so concurrency comes from concurrent *callers* —
-    the stealing executor's ranks); ``workers == 1`` runs in-process.
+    pool (one task, so concurrency comes from concurrent callers);
+    ``workers == 1`` runs in-process.
     Lazy ranges decode their own chunks straight from the file
     (:func:`repro.nexus.tiles.read_window`) in both paths, so
     concurrent rank threads never contend on a shared tile cache.

@@ -1,48 +1,46 @@
-"""Elastic work-stealing execution across the rank × shard grid.
+"""Elastic work stealing over the campaign's (run, stage) cells.
 
-The static plan (PR 5) fixes every ``RunShard`` to a rank up front, so
-one slow shard — skewed chunk compression, a cold cache, a quarantine
-retry storm — idles every other worker.  This executor makes the grid
-**elastic**: the campaign's shard tasks live in one shared
-:class:`StealQueue`; each rank drains its own planned deque first and,
-when the schedule allows, steals from the tail of a victim's deque
-(victim selection by remaining *stored-byte* weight from the PR 6
-chunk index).  Ranks can join mid-campaign (*birth*: a spawned worker
-registers, drains the queue, and its deposits merge through the same
-replay), leave cleanly (drain-and-requeue), or die holding work (their
-claimed tasks requeue; the queue's claim/complete accounting keeps
-execution exactly-once).
+The static executor fixes every run to a rank block up front, so one
+slow run — skewed chunk compression, a cold cache, a quarantine retry
+storm — idles every other rank.  This executor makes the plan
+**elastic**: each run contributes two cells, its MDNorm and its BinMD,
+and the campaign's cells live in one shared :class:`StealQueue`.  Each
+rank drains its own planned deque first and, when the schedule allows,
+steals from the tail of a victim's deque (victim selection by
+remaining weight: trajectories for MDNorm; for BinMD the stored bytes
+of an out-of-core run's chunk index, else event lanes).  Ranks can join mid-campaign
+(*birth*: a spawned worker registers and drains the queue), leave
+cleanly (drain-and-requeue), or die holding work (their claimed cells
+requeue; the queue's claim/complete accounting keeps execution
+exactly-once).
 
-Determinism argument (DESIGN.md §6h).  Execution order is deliberately
-chaotic — that is the point — so nothing numeric may depend on it:
+The executor only decides *which* rank runs a cell.  A cell attempt is
+the static loop's own stage code,
+:func:`repro.core.cross_section.run_stage`: the same kernel choice
+(``*_impl`` override, shard fan-out, or the plain kernel on
+``backend``), the same shards fanned out inside the cell, the same
+fresh scratch histogram.  Execution order is deliberately chaotic, so
+nothing numeric depends on it (DESIGN.md §6h):
 
-* a task never touches a histogram; it runs the kernel's batch
-  deposit function over its planned contiguous range and returns the
-  deposit logs (:func:`repro.core.sharding.execute_shard_range`),
-  exactly as the static fan-out's shards do;
-* when the last task of a run reports, the run's logs are replayed
-  **keyed by the shard's planned index** (op-major, planned ranges
-  ascending — :func:`repro.core.sharding.replay_shard_logs`) into
-  fresh per-run scratch histograms: each run's delta is therefore
-  bit-identical to the unsharded ``vectorized`` kernels on that run,
-  regardless of which ranks executed which shards, in what order,
-  with how many steals, and of ``backend``;
+* a run's delta is its two stage histograms, each computed by one
+  attempt of the same code on the same inputs as in the static loop,
+  on whichever rank ran the cell;
 * the effective root folds the per-run deltas in **ascending run
   order** through the campaign loop's one fold
   (:class:`repro.core.cross_section.RunFold`), so for *every* steal
-  schedule the result equals, bit for bit, a static campaign with the
-  same per-run deltas (the sharded or unsharded ``vectorized`` loop)
-  on one rank, or checkpointed/resumed on any number of ranks.
+  schedule the result equals, bit for bit, the static loop with the
+  same options on one rank, or checkpointed/resumed on any number of
+  ranks.
 
 Everything per run that is not scheduling — load and UB check, the
-failure policy around an attempt, the resume/quarantine/done
-dispositions, the fold and the result — is the static loop's own
-code, imported from :mod:`repro.core.cross_section`.
+failure policy around an attempt, cancellation, the
+resume/quarantine/done dispositions, the fold and the result — is the
+static loop's own code, imported from :mod:`repro.core.cross_section`.
 
 Checkpoint/resume compatibility: deltas checkpoint per run exactly as
 the static loop's do; on ``--resume`` completed runs replay from disk
-and every shard of an incomplete run — including shards that were
-in-flight (stolen) at the kill — goes back into the queue.
+and both cells of an incomplete run — including a cell that was
+in flight (stolen) at the kill — go back into the queue.
 
 The simulated-MPI caveat applies throughout: ranks are threads of one
 process (:mod:`repro.mpi.comm`), so "the shared queue" is literally a
@@ -64,65 +62,62 @@ import numpy as np
 from repro.core import geom_cache as _gc
 from repro.core.checkpoint import RecoveryConfig, RunDelta
 from repro.core.cross_section import (
+    STAGES,
+    CampaignInputs,
     CrossSectionResult,
     RunFold,
     call_run,
+    check_cancel,
     done_disposition,
     fold_checkpoint,
     load_checked,
     n_events,
     non_root_result,
     quarantine_disposition,
+    rank_block,
+    recovery_cancel_scope,
     resume_disposition,
     root_result,
+    run_stage,
 )
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
-from repro.core.sharding import (
-    ShardConfig,
-    ShardContext,
+from repro.core.sharding import ShardConfig
+# bound here, unused, because perfbench/layers.py wraps these names in
+# this module's namespace
+from repro.core.sharding import (  # noqa: F401
     binmd_shard_context,
     execute_shard_range,
     mdnorm_shard_context,
-    replay_shard_logs,
 )
 from repro.crystal.symmetry import PointGroup
 from repro.mpi.comm import Comm, SequentialComm
-from repro.mpi.decomposition import balanced_rank_runs, rank_range
 from repro.nexus.corrections import FluxSpectrum
 from repro.util import faults as _faults
 from repro.util import monitor as _monitor
 from repro.util import trace as _trace
+from repro.util.cancel import CancelledError
 from repro.util.schedule import ScheduleController
 from repro.util.timers import StageTimings
-from repro.util.validation import ValidationError, require
+from repro.util.validation import require
 
-#: idle backoff while peers hold the last claimed tasks
+#: idle backoff while peers hold the last claimed cells
 _IDLE_SLEEP_S = 0.0005
-
-_STAGES = ("mdnorm", "binmd")
-_STAGE_TITLES = {"mdnorm": "MDNorm", "binmd": "BinMD"}
 
 
 @dataclass(frozen=True)
 class StealTask:
-    """One stealable cell: a planned shard of one run-stage."""
+    """One stealable cell: one stage of one run."""
 
     run: int
     stage: str            # "mdnorm" | "binmd"
-    index: int            # planned shard index within the stage
-    n_ranges: int         # total planned shards of the stage
     owner: int            # rank the static plan assigned the run to
-    weight: float         # work estimate (stored bytes / row count)
+    weight: float         # work estimate (trajectories / stored bytes / lanes)
     plan_uid: Optional[str] = None  # planning span's global uid (trace v3)
 
     @property
-    def key(self) -> Tuple[int, str, int]:
-        return (self.run, self.stage, self.index)
-
-    @property
-    def label(self) -> str:
-        return f"run{self.run}/{self.stage}/shard{self.index}of{self.n_ranges}"
+    def key(self) -> Tuple[int, str]:
+        return (self.run, self.stage)
 
 
 class StealQueue:
@@ -141,9 +136,9 @@ class StealQueue:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._pending: Dict[int, deque] = {}
-        self._claimed: Dict[Tuple[int, str, int], Tuple[int, StealTask]] = {}
-        self._done: Set[Tuple[int, str, int]] = set()
-        self._dropped: Set[Tuple[int, str, int]] = set()
+        self._claimed: Dict[Tuple[int, str], Tuple[int, StealTask]] = {}
+        self._done: Set[Tuple[int, str]] = set()
+        self._dropped: Set[Tuple[int, str]] = set()
         self._quarantined_runs: Set[int] = set()
         self._active: Set[int] = set()
         #: ranks that left or died; a rank that has not joined yet is
@@ -264,7 +259,7 @@ class StealQueue:
 
     def drop_run(self, run: int) -> None:
         """Quarantine: purge the run's pending tasks, poison in-flight
-        completions (their logs are discarded on arrival)."""
+        completions (their histograms are discarded on arrival)."""
         with self._lock:
             self._quarantined_runs.add(int(run))
             for dq in self._pending.values():
@@ -290,36 +285,24 @@ class _StealState:
         *,
         queue: StealQueue,
         controller: ScheduleController,
-        grid: HKLGrid,
-        n_shards: int,
+        recovery: Optional[RecoveryConfig],
         world_size: int,
     ) -> None:
         self.queue = queue
         self.controller = controller
-        self.grid = grid
-        self.n_shards = int(n_shards)
+        self.recovery = recovery
+        self.ckpt = recovery.checkpoint if recovery is not None else None
         self.world_size = int(world_size)
         self.lock = threading.RLock()
         self.workspaces: Dict[int, Any] = {}
-        self.contexts: Dict[Tuple[int, str], ShardContext] = {}
-        self.logs: Dict[Tuple[int, str], Dict[int, List[Any]]] = {}
-        self.task_counts: Dict[int, int] = {}       # run -> total tasks
-        self.events_per_run: Dict[int, int] = {}
+        #: run -> stage -> the stage's histogram, until both have reported
+        self.stage_hists: Dict[int, Dict[str, Hist3]] = {}
         self.run_attempts: Dict[int, int] = {}
         self.deltas: Dict[int, RunDelta] = {}
         self.dispositions: Dict[int, Dict[str, Any]] = {}
-        self.finished_runs: Set[int] = set()
         self.helpers: List[threading.Thread] = []
         self.next_helper_rank = int(world_size)
         self.births = 0
-        self._run_locks: Dict[int, threading.Lock] = {}
-
-    def run_lock(self, run: int) -> threading.Lock:
-        with self.lock:
-            lk = self._run_locks.get(run)
-            if lk is None:
-                lk = self._run_locks[run] = threading.Lock()
-            return lk
 
 
 def run_stealing_campaign(
@@ -344,39 +327,33 @@ def run_stealing_campaign(
     run_weights: Optional[Sequence[float]] = None,
     schedule: Optional[ScheduleController] = None,
 ) -> CrossSectionResult:
-    """Algorithm 1 on the elastic rank × shard grid (see module docs).
+    """Algorithm 1 with elastic (run, stage) cells (see module docs).
 
     Drop-in signature match for the dispatch in
     :func:`repro.core.cross_section.compute_cross_section` with
-    ``executor="stealing"``.  ``shards`` sets the per-run shard count
-    (the stealing granularity; default 1 — run-level stealing) and the
-    per-task pool width; ``schedule`` is the
+    ``executor="stealing"``; every kernel option — ``backend``,
+    ``sort_impl``, ``scatter_impl``, ``shards`` and the ``*_impl``
+    overrides — means what it means in the static loop, because a cell
+    runs the static loop's stage code.  ``schedule`` is the
     :class:`~repro.util.schedule.ScheduleController` driving steal and
     birth/leave/death decisions (the root rank's instance wins; default
-    is the seeded ``weighted`` policy).  ``binmd_impl``/``mdnorm_impl``
-    overrides own their parallelism and are not stealable.
+    is the seeded ``weighted`` policy).
     """
     require(n_runs >= 1, "need at least one run")
-    if binmd_impl is not None or mdnorm_impl is not None:
-        raise ValidationError(
-            "the stealing executor collects deposit logs through the shard "
-            "machinery; kernel *_impl overrides are not stealable — use "
-            "executor='static'"
-        )
-    # shard logs replay through np.add.at with the batch kernels'
-    # library row sort; the unsharded kernels' sort/scatter options do
-    # not apply
-    del sort_impl, scatter_impl
     comm = comm or SequentialComm()
-    cache = _gc.resolve(cache)
-    shards = shards or ShardConfig(n_shards=1, workers=1)
     timings = timings or StageTimings(
         label=f"cross-section[{backend or 'default'}]"
     )
     tracer = _trace.active_tracer()
     monitor = _monitor.active_monitor()
-    ckpt = recovery.checkpoint if recovery is not None else None
-    workers = shards.effective_workers
+    inputs = CampaignInputs(
+        grid=grid, point_group=point_group, flux=flux,
+        det_directions=det_directions, solid_angles=solid_angles,
+        backend=backend, sort_impl=sort_impl, scatter_impl=scatter_impl,
+        binmd_impl=binmd_impl, mdnorm_impl=mdnorm_impl,
+        cache=_gc.resolve(cache), shards=shards, timings=timings,
+        monitor=monitor,
+    )
 
     if monitor.enabled:
         monitor.start_campaign(n_runs, comm.size)
@@ -389,50 +366,38 @@ def run_stealing_campaign(
         mpi_rank=int(comm.rank),
         mpi_size=int(comm.size),
         executor="stealing",
-        n_shards=int(shards.n_shards),
-    ), timings.stage("Total"):
+        **({"n_shards": int(shards.n_shards)} if shards is not None else {}),
+    ), timings.stage("Total"), recovery_cancel_scope(recovery):
         # -- plan + share (root builds, everyone receives the reference)
         state: Optional[_StealState] = None
         if comm.rank == 0:
-            state = _plan(
-                load_run, n_runs, grid, point_group, comm,
-                n_det=int(np.asarray(det_directions).shape[0]),
-                shards=shards, recovery=recovery, run_weights=run_weights,
-                schedule=schedule, timings=timings, cache=cache,
-                monitor=monitor,
-            )
-            if workers > 1:
+            state = _plan(load_run, n_runs, comm, inputs, recovery=recovery,
+                          run_weights=run_weights, schedule=schedule)
+            if shards is not None and shards.effective_workers > 1:
                 # Fork the shard-worker pool now, while every other
                 # rank thread is parked at the bcast below: a fork
                 # taken mid-kernel on a sibling thread can hand the
                 # children locked BLAS/OpenMP state they never escape.
                 from repro.jacc.workers import GLOBAL_POOL
 
-                GLOBAL_POOL.executor(workers)
+                GLOBAL_POOL.executor(shards.effective_workers)
         if comm.size > 1:
             state = comm.bcast(state, root=0)
         assert state is not None
         state.queue.register_rank(comm.rank)
         if monitor.enabled:
             monitor.assign_runs(comm.rank, state.queue.own_depth(comm.rank))
-        # every rank starts on its own first task, claimed before any
+        check_cancel(recovery, "campaign (before the first claim)")
+        # every rank starts on its own first cell, claimed before any
         # rank may steal: which rank thread the OS runs first can then
         # never leave a rank without work it was planned to hold
         first = state.queue.claim_own(comm.rank)
         if comm.size > 1:
             comm.Barrier()
 
-        exec_env = _ExecEnv(
-            state=state, grid=grid, point_group=point_group, flux=flux,
-            det_directions=det_directions, solid_angles=solid_angles,
-            cache=cache, recovery=recovery, ckpt=ckpt,
-            workers=workers, timings=timings, monitor=monitor,
-            load_run=load_run, comm=comm,
-        )
-
         crashed = False
         try:
-            _work_loop(exec_env, comm.rank, helper=False, first=first)
+            _work_loop(state, inputs, comm.rank, helper=False, first=first)
         except _faults.RankCrashError:
             if comm.size == 1:
                 raise  # a lone rank cannot recover from its own death
@@ -458,15 +423,15 @@ def run_stealing_campaign(
         if comm.rank != eff_root:
             return non_root_result(timings, n_runs, backend)
 
-        if ckpt is not None:
-            fold = fold_checkpoint(ckpt, grid)
+        if state.ckpt is not None:
+            fold = fold_checkpoint(state.ckpt, grid)
         else:
             fold = RunFold.of(grid, (state.deltas[i] for i in sorted(state.deltas)))
         cross = fold.binmd.divide(fold.mdnorm)
 
     return root_result(
         fold.binmd, fold.mdnorm, cross, timings=timings, n_runs=n_runs,
-        backend=backend, comm=comm, cache=cache, monitor=monitor,
+        backend=backend, comm=comm, cache=inputs.cache, monitor=monitor,
         dispositions=dict(state.dispositions),
         extras={"stealing": {
             "steals": int(state.queue.steals),
@@ -487,172 +452,91 @@ def run_stealing_campaign(
 def _plan(
     load_run: Callable[[int], Any],
     n_runs: int,
-    grid: HKLGrid,
-    point_group: PointGroup,
     comm: Comm,
+    c: CampaignInputs,
     *,
-    n_det: int,
-    shards: ShardConfig,
     recovery: Optional[RecoveryConfig],
     run_weights: Optional[Sequence[float]],
     schedule: Optional[ScheduleController],
-    timings: StageTimings,
-    cache: Any,
-    monitor: Any,
 ) -> _StealState:
-    """Load run metadata, cut the static plan into stealable tasks.
+    """Load every run, enqueue its two cells on the run's static owner.
 
-    The static owner assignment is *identical* to the static executor's
-    rank blocks, so a ``no-steal`` schedule executes exactly the static
-    plan.  Runs already completed in a resumed checkpoint enqueue
-    nothing — including runs whose shards were in-flight at the kill:
-    per-run checkpoint granularity means every shard of an incomplete
-    run goes back into the queue.
+    The owners are the static executor's rank blocks, so a ``no-steal``
+    schedule executes exactly the static plan.  Runs already completed
+    in a resumed checkpoint enqueue nothing; per-run checkpoint
+    granularity means both cells of an incomplete run go back into the
+    queue, including a cell in flight (stolen) at the kill.
     """
-    ckpt = recovery.checkpoint if recovery is not None else None
-    resume = bool(recovery is not None and recovery.resume and ckpt is not None)
-    if run_weights is not None:
-        require(len(run_weights) == n_runs,
-                f"run_weights has {len(run_weights)} entries for {n_runs} runs")
-        blocks = balanced_rank_runs(run_weights, comm.size)
-    else:
-        blocks = [rank_range(n_runs, r, comm.size) for r in range(comm.size)]
-    owner_of = {}
-    for rank, (a, b) in enumerate(blocks):
-        for i in range(a, b):
-            owner_of[i] = rank
-
-    controller = schedule or ScheduleController(seed=0, policy="weighted")
+    owner_of = {
+        i: r for r in range(comm.size)
+        for i in range(*rank_block(n_runs, r, comm.size, run_weights))
+    }
     state = _StealState(
-        queue=StealQueue(), controller=controller, grid=grid,
-        n_shards=shards.n_shards, world_size=comm.size,
+        queue=StealQueue(),
+        controller=schedule or ScheduleController(seed=0, policy="weighted"),
+        recovery=recovery, world_size=comm.size,
     )
     for r in range(comm.size):
         state.queue.register_rank(r)
+    ckpt = state.ckpt
+    resume = bool(recovery is not None and recovery.resume and ckpt is not None)
+    n_det = int(np.asarray(c.det_directions).shape[0])
+    tracer = _trace.active_tracer()
 
     for i in range(n_runs):
         if resume:
             resumed = resume_disposition(
-                ckpt, i, grid, rank=comm.rank, cache=cache, monitor=monitor
+                ckpt, i, c.grid, rank=comm.rank, cache=c.cache,
+                monitor=c.monitor,
             )
             if resumed is not None:
                 state.dispositions[i] = resumed
                 continue
+        if c.monitor.enabled:
+            c.monitor.heartbeat(comm.rank, site=f"run:{i}/UpdateEvents", run=i)
         try:
-            ws = _load_workspace(
-                load_run, i, timings, cache,
-                recovery=recovery, monitor=monitor, comm=comm,
+            ws = call_run(
+                lambda n: load_checked(load_run, i, c.timings),
+                site=f"run[{i}]", recovery=recovery,
+                on_retry=lambda exc, n: c.cache.invalidate(f"run:{i}"),
             )
         except _faults.RetryExhaustedError as exc:
             if recovery is None or not recovery.quarantine:
                 raise
-            _quarantine(state, i, exc, comm.rank, ckpt, monitor)
+            _quarantine(state, i, exc, comm.rank, c.monitor)
             continue
         state.workspaces[i] = ws
-        event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
-        n_ops = int(np.asarray(event_transforms).shape[0])
-        mdnorm_ranges, mdnorm_weights = _mdnorm_plan(
-            n_det, n_ops, shards.n_shards)
-        binmd_ranges, binmd_weights = _binmd_plan(ws, n_ops, shards.n_shards)
-        state.task_counts[i] = len(mdnorm_ranges) + len(binmd_ranges)
-        state.events_per_run[i] = n_events(ws)
+        n_ops = c.point_group.order
+        # victim-selection weights: trajectories for MDNorm; for BinMD
+        # the stored (compressed) bytes of an out-of-core table, which
+        # its decode cost tracks, else event lanes
+        weights = {
+            "mdnorm": float(n_ops * n_det),
+            "binmd": (float(sum(ws.events.chunk_stored_nbytes()))
+                      if hasattr(ws.events, "chunk_stored_nbytes")
+                      else float(n_ops * n_events(ws))),
+        }
         # each enqueue is a planning span whose uid rides the task, so
         # an executing (possibly stolen) span can link back to the
         # exact planning site across ranks
-        tracer = _trace.active_tracer()
-        for stage, ranges, weights in (
-            ("mdnorm", mdnorm_ranges, mdnorm_weights),
-            ("binmd", binmd_ranges, binmd_weights),
-        ):
-            for idx, _rng in enumerate(ranges):
-                with tracer.span(
-                    f"plan:{stage}", kind="plan_task",
-                    run=int(i), shard=int(idx), owner=int(owner_of[i]),
-                ) as plan_span:
-                    state.queue.add_task(StealTask(
-                        run=i, stage=stage, index=idx,
-                        n_ranges=len(ranges), owner=owner_of[i],
-                        weight=float(weights[idx]),
-                        plan_uid=plan_span.uid,
-                    ))
+        for stage in STAGES:
+            with tracer.span(f"plan:{stage}", kind="plan_task", run=int(i),
+                             owner=int(owner_of[i])) as plan_span:
+                state.queue.add_task(StealTask(
+                    run=i, stage=stage, owner=owner_of[i],
+                    weight=weights[stage], plan_uid=plan_span.uid,
+                ))
     return state
-
-
-def _mdnorm_plan(n_det: int, n_ops: int, n_shards: int):
-    """Detector-range plan, identical to :func:`mdnorm_shard_context`'s
-    (both call :func:`repro.mpi.decomposition.shard_ranges` on the same
-    axis, so planned task indices line up with context ranges)."""
-    from repro.mpi.decomposition import shard_ranges
-
-    ranges = shard_ranges(n_det, n_shards)
-    weights = [float(n_ops * (b - a)) for a, b in ranges]
-    return ranges, weights
-
-
-def _binmd_plan(ws: Any, n_ops: int, n_shards: int):
-    from repro.mpi.decomposition import lazy_table_ranges, range_stored_nbytes, shard_ranges
-
-    events = ws.events
-    if hasattr(events, "chunk_bounds") and hasattr(events, "window"):
-        ranges = lazy_table_ranges(events, n_shards)
-        return ranges, range_stored_nbytes(events, ranges)
-    ranges = shard_ranges(n_events(ws), n_shards)
-    weights = [float(n_ops * (b - a)) for a, b in ranges]
-    return ranges, weights
-
-
-def _load_workspace(
-    load_run: Callable[[int], Any],
-    i: int,
-    timings: StageTimings,
-    cache: Any,
-    *,
-    recovery: Optional[RecoveryConfig],
-    monitor: Any,
-    comm: Comm,
-) -> Any:
-    """UpdateEvents under the run-level failure policy (planning side)."""
-
-    def attempt(attempt_no: int) -> Any:
-        if monitor.enabled:
-            monitor.heartbeat(comm.rank, site=f"run:{i}/UpdateEvents", run=i)
-        return load_checked(load_run, i, timings)
-
-    return call_run(
-        attempt, site=f"run[{i}]", recovery=recovery,
-        on_retry=lambda exc, n: cache.invalidate(f"run:{i}"),
-    )
 
 
 # ---------------------------------------------------------------------------
 # the scheduling loop (every rank, plus born helpers)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _ExecEnv:
-    """Per-world execution context threaded through the loop helpers."""
-
-    state: _StealState
-    grid: HKLGrid
-    point_group: PointGroup
-    flux: FluxSpectrum
-    det_directions: np.ndarray
-    solid_angles: np.ndarray
-    cache: Any
-    recovery: Optional[RecoveryConfig]
-    ckpt: Any
-    workers: int
-    timings: StageTimings
-    monitor: Any
-    load_run: Callable[[int], Any]
-    comm: Comm
-
-
-def _work_loop(env: _ExecEnv, rank: int, *, helper: bool,
-               first: Optional[StealTask] = None) -> None:
-    """Drain the queue as ``rank``; ``first`` is a task the rank already
+def _work_loop(state: _StealState, c: CampaignInputs, rank: int, *,
+               helper: bool, first: Optional[StealTask] = None) -> None:
+    """Drain the queue as ``rank``; ``first`` is a cell the rank already
     claimed from its own deque, executed before the first acquire."""
-    state = env.state
     q = state.queue
     ctl = state.controller
     tracer = _trace.active_tracer()
@@ -660,7 +544,7 @@ def _work_loop(env: _ExecEnv, rank: int, *, helper: bool,
     while True:
         for action in ctl.lifecycle(rank, q.completed_count()):
             if action == "birth":
-                _spawn_helper(env)
+                _spawn_helper(state, c)
             elif action == "leave":
                 leaving = True
             elif action == "death":
@@ -668,7 +552,7 @@ def _work_loop(env: _ExecEnv, rank: int, *, helper: bool,
                     "steal.lifecycle", "rank_crash", 0
                 )
         if leaving:
-            # drain-and-requeue: the current task (if any) already
+            # drain-and-requeue: the current cell (if any) already
             # finished; an unstarted ``first`` claim goes back to the
             # head of the deque, which becomes orphan work
             q.release_rank(rank)
@@ -679,27 +563,28 @@ def _work_loop(env: _ExecEnv, rank: int, *, helper: bool,
         stolen = False
         victim = None
         if task is None:
+            check_cancel(state.recovery, f"campaign (before a claim on rank {rank})")
             victims = q.remaining_weights(exclude=rank)
             own_depth = q.own_depth(rank)
             if own_depth or victims:
                 victim = ctl.acquire(rank, own_depth, victims)
-        if victim is not None:
-            task = q.claim_steal(rank, victim)
-            stolen = task is not None
-        if task is None:
-            task = q.claim_own(rank)
-            stolen = False
-        if task is None:
-            task = q.claim_orphan(rank)
-            stolen = task is not None
-            victim = None
+            if victim is not None:
+                task = q.claim_steal(rank, victim)
+                stolen = task is not None
+            if task is None:
+                task = q.claim_own(rank)
+                stolen = False
+            if task is None:
+                task = q.claim_orphan(rank)
+                stolen = task is not None
+                victim = None
         if task is None:
             if q.all_done():
                 return
             time.sleep(_IDLE_SLEEP_S)
             continue
         try:
-            _execute_task(env, rank, task, stolen=stolen, victim=victim)
+            _execute_task(state, c, rank, task, stolen=stolen, victim=victim)
         except _faults.RankCrashError:
             q.release_rank(rank)
             if helper:
@@ -710,18 +595,17 @@ def _work_loop(env: _ExecEnv, rank: int, *, helper: bool,
             raise
         except BaseException:
             # unexpected failure: requeue the claim before propagating,
-            # otherwise the task stays claimed-by-a-dead-rank forever
+            # otherwise the cell stays claimed-by-a-dead-rank forever
             # and every surviving rank spins on a queue that can never
             # drain
             q.release_rank(rank)
             raise
 
 
-def _spawn_helper(env: _ExecEnv) -> None:
+def _spawn_helper(state: _StealState, c: CampaignInputs) -> None:
     """Rank birth: a new worker joins mid-campaign (thread-spawn
     stand-in for ``MPI_Comm_spawn``), registers with the queue, drains
     it alongside everyone else, exits when the queue is dry."""
-    state = env.state
     with state.lock:
         new_rank = state.next_helper_rank
         state.next_helper_rank += 1
@@ -734,11 +618,14 @@ def _spawn_helper(env: _ExecEnv) -> None:
                  else _trace.remote_parent())
 
     def body() -> None:
-        with _trace.rank_scope(new_rank), _trace.parent_scope(spawn_uid):
+        with _trace.rank_scope(new_rank), _trace.parent_scope(spawn_uid), \
+                recovery_cancel_scope(state.recovery):
             with tracer.span("rank", kind="rank", rank=int(new_rank),
                              size=int(state.world_size), born=True):
                 try:
-                    _work_loop(env, new_rank, helper=True)
+                    _work_loop(state, c, new_rank, helper=True)
+                except CancelledError:
+                    pass  # the world's ranks see the same token and raise
                 finally:
                     state.queue.deregister_rank(new_rank)
 
@@ -754,35 +641,32 @@ def _spawn_helper(env: _ExecEnv) -> None:
 
 
 def _execute_task(
-    env: _ExecEnv,
+    state: _StealState,
+    c: CampaignInputs,
     rank: int,
     task: StealTask,
     *,
     stolen: bool,
     victim: Optional[int],
 ) -> None:
-    state = env.state
+    """One attempt loop of a cell: the static loop's stage code under
+    the run-level failure policy, then the run's fold bookkeeping when
+    this was its last cell."""
     q = state.queue
     tracer = _trace.active_tracer()
-    if q.is_quarantined(task.run):
+    with state.lock:
+        # a quarantine drops the run's workspace under this same lock
+        ws = None if q.is_quarantined(task.run) else state.workspaces[task.run]
+    if ws is None:
         q.complete(rank, task)
         return
-    if env.monitor.enabled:
-        env.monitor.heartbeat(
-            rank,
-            site=(f"run:{task.run}/{_STAGE_TITLES[task.stage]}/"
-                  f"shard:{task.index + 1}of{task.n_ranges}"),
-            run=task.run,
-        )
-        if stolen and victim is not None:
-            env.monitor.record_steal(rank, victim, task.run)
+    if stolen and victim is not None and c.monitor.enabled:
+        c.monitor.record_steal(rank, victim, task.run)
     with tracer.span(
         f"steal:{task.stage}",
         kind="steal" if stolen else "steal_task",
         run=int(task.run),
-        shard=int(task.index),
         weight=float(task.weight),
-        n_shards=int(task.n_ranges),
         owner=int(task.owner),
         exec_rank=int(rank),
         stolen=bool(stolen),
@@ -795,135 +679,66 @@ def _execute_task(
             # never a parent edge)
             tracer.link(
                 sp.uid, task.plan_uid, kind="steal",
-                run=int(task.run), shard=int(task.index),
-                exec_rank=int(rank),
+                run=int(task.run), exec_rank=int(rank),
                 **({"victim": int(victim)} if victim is not None else {}),
             )
         tracer.gauge("steal.queue_depth", float(q.depth()))
 
-        def attempt(attempt_no: int) -> List[Any]:
+        def attempt(attempt_no: int) -> Hist3:
             with state.lock:
                 state.run_attempts[task.run] = max(
                     state.run_attempts.get(task.run, 0), attempt_no
                 )
-            ctx = _context(env, task.run, task.stage)
             _faults.fault_point("steal.task", rank=rank, run=task.run)
-            with env.timings.stage(_STAGE_TITLES[task.stage]):
-                return execute_shard_range(
-                    ctx, task.index, workers=env.workers, run=task.run
-                )
-
-        def on_retry(exc: BaseException, attempt_no: int) -> None:
-            env.cache.invalidate(f"run:{task.run}")
-            with state.lock:
-                # rebuild the context from scratch on the next attempt —
-                # a corrupt read may have poisoned it
-                state.contexts.pop((task.run, task.stage), None)
+            _faults.fault_point("run", run=task.run)
+            return run_stage(c, task.stage, task.run, ws, rank=rank)
 
         try:
-            logs = call_run(attempt, site=f"steal[{task.label}]",
-                            recovery=env.recovery, on_retry=on_retry)
+            hist = call_run(
+                attempt, site=f"steal[run{task.run}/{task.stage}]",
+                recovery=state.recovery,
+                # a corrupt read may have seeded the cache from bad bytes
+                on_retry=lambda exc, n: c.cache.invalidate(f"run:{task.run}"),
+            )
         except _faults.RetryExhaustedError as exc:
-            if env.recovery is None or not env.recovery.quarantine:
+            if state.recovery is None or not state.recovery.quarantine:
                 raise
-            _quarantine(state, task.run, exc, rank, env.ckpt, env.monitor)
+            _quarantine(state, task.run, exc, rank, c.monitor)
             q.complete(rank, task)
             return
 
         with state.lock:
-            state.logs.setdefault(task.key[:2], {})[task.index] = logs
-        if q.complete(rank, task):
+            if not q.complete(rank, task):
+                return  # the run quarantined while this cell ran
             sp.set(completed=True)
-            tracer.count(f"{task.stage}.shard_tasks")
-            _maybe_finish_run(env, rank, task.run)
+            hists = state.stage_hists.setdefault(task.run, {})
+            hists[task.stage] = hist
+            if len(hists) < len(STAGES):
+                return
+            del state.stage_hists[task.run]
+            state.workspaces.pop(task.run)  # out-of-core hygiene
+            attempts = state.run_attempts.get(task.run, 1)
+        _finish_run(state, c, rank, task.run, hists, ws, attempts)
 
 
-def _context(env: _ExecEnv, run: int, stage: str) -> ShardContext:
-    """The run-stage's shard context, built once under the run's lock.
-
-    Whichever rank first executes (or steals) a task of the run pays
-    for the load + geometry; peers reuse the shared context — the
-    captures are thread-safe by construction (see
-    :class:`repro.core.sharding.ShardContext`).
-    """
-    state = env.state
-    with state.run_lock(run):
-        ctx = state.contexts.get((run, stage))
-        if ctx is not None:
-            return ctx
-        ws = state.workspaces.get(run)
-        if ws is None:
-            ws = _load_workspace(
-                env.load_run, run, env.timings, env.cache,
-                recovery=env.recovery, monitor=env.monitor, comm=env.comm,
-            )
-            with state.lock:
-                state.workspaces[run] = ws
-        _faults.fault_point("run", run=run)
-        if stage == "mdnorm":
-            traj_transforms = env.grid.transforms_for(
-                ws.ub_matrix, env.point_group, goniometer=ws.goniometer
-            )
-            _faults.fault_point("kernel.mdnorm", run=run)
-            ctx = mdnorm_shard_context(
-                Hist3(env.grid), traj_transforms, env.det_directions,
-                env.solid_angles, env.flux, ws.momentum_band,
-                n_shards=state.n_shards, charge=ws.proton_charge,
-                cache=env.cache,
-                cache_tag=f"run:{run}",
-            )
-        else:
-            event_transforms = env.grid.transforms_for(
-                ws.ub_matrix, env.point_group
-            )
-            _faults.fault_point("kernel.binmd", run=run)
-            ctx = binmd_shard_context(
-                Hist3(env.grid, track_errors=True), ws.events,
-                event_transforms, n_shards=state.n_shards,
-            )
-        with state.lock:
-            state.contexts[(run, stage)] = ctx
-        return ctx
-
-
-def _maybe_finish_run(env: _ExecEnv, rank: int, run: int) -> None:
-    """Replay in planned order + fold bookkeeping when the run's last
-    task reports.  Guarded so exactly one rank assembles each run."""
-    state = env.state
+def _finish_run(
+    state: _StealState,
+    c: CampaignInputs,
+    rank: int,
+    run: int,
+    hists: Dict[str, Hist3],
+    ws: Any,
+    attempts: int,
+) -> None:
+    """The run's last cell reported: its delta is the two stage
+    histograms, kept for the fold and checkpointed as the static loop's."""
+    binmd, mdnorm = hists["binmd"], hists["mdnorm"]
     with state.lock:
-        if run in state.finished_runs or state.queue.is_quarantined(run):
-            return
-        total = state.task_counts.get(run)
-        done = sum(
-            len(state.logs.get((run, stage), {})) for stage in _STAGES
-        )
-        if total is None or done < total:
-            return
-        state.finished_runs.add(run)
-        ctx_m = state.contexts[(run, "mdnorm")]
-        ctx_b = state.contexts[(run, "binmd")]
-        logs_m = state.logs.pop((run, "mdnorm"))
-        logs_b = state.logs.pop((run, "binmd"))
-        attempts = state.run_attempts.get(run, 1)
-
-    # ordered-deposit replay keyed by the planned index: the delta is
-    # bit-identical to the unsharded vectorized kernels no matter who
-    # executed what, in what order
-    replay_shard_logs(ctx_m, [logs_m[s] for s in range(ctx_m.n_ranges)])
-    replay_shard_logs(ctx_b, [logs_b[s] for s in range(ctx_b.n_ranges)])
-    scratch_m = ctx_m.hist
-    scratch_b = ctx_b.hist
-
-    with state.lock:
-        state.deltas[run] = RunDelta(run, scratch_b.signal, scratch_b.error_sq,
-                                     scratch_m.signal)
-        # release the run's working set (out-of-core hygiene)
-        state.workspaces.pop(run, None)
-        state.contexts.pop((run, "mdnorm"), None)
-        state.contexts.pop((run, "binmd"), None)
+        state.deltas[run] = RunDelta(run, binmd.signal, binmd.error_sq,
+                                     mdnorm.signal)
     done = done_disposition(
-        env.ckpt, run, scratch_b, scratch_m, attempts=attempts, rank=rank,
-        monitor=env.monitor, events=state.events_per_run.get(run, 0),
+        state.ckpt, run, binmd, mdnorm, attempts=attempts, rank=rank,
+        monitor=c.monitor, events=n_events(ws),
     )
     with state.lock:
         state.dispositions[run] = done
@@ -934,18 +749,17 @@ def _quarantine(
     run: int,
     exc: _faults.RetryExhaustedError,
     rank: int,
-    ckpt: Any,
     monitor: Any,
 ) -> None:
     """Drop the run's queued and in-flight work, then record it like the
-    static loop does."""
-    state.queue.drop_run(run)
+    static loop does (once, whichever of its cells failed first)."""
     with state.lock:
-        state.logs.pop((run, "mdnorm"), None)
-        state.logs.pop((run, "binmd"), None)
-        state.contexts.pop((run, "mdnorm"), None)
-        state.contexts.pop((run, "binmd"), None)
+        if state.queue.is_quarantined(run):
+            return
+        state.queue.drop_run(run)
+        state.stage_hists.pop(run, None)
         state.workspaces.pop(run, None)
-    disposition = quarantine_disposition(ckpt, run, exc, rank=rank, monitor=monitor)
+    disposition = quarantine_disposition(state.ckpt, run, exc, rank=rank,
+                                         monitor=monitor)
     with state.lock:
         state.dispositions[run] = disposition

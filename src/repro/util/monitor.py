@@ -64,7 +64,7 @@ class RankState:
     runs_completed: int = 0
     runs_quarantined: int = 0
     runs_resumed: int = 0
-    #: shard tasks this rank stole from another rank's queue
+    #: (run, stage) cells this rank stole from another rank's queue
     steals: int = 0
     events_processed: float = 0.0
     current_run: int = -1
@@ -239,7 +239,7 @@ class CampaignMonitor:
 
     # -- elastic execution visibility (stealing executor) ------------------
     def record_steal(self, thief: int, victim: int, run: int) -> None:
-        """The thief rank took a shard of ``run`` from the victim's
+        """The thief rank took a cell of ``run`` from the victim's
         queue (born helper ranks report like any other rank — their
         RankState is created on first contact)."""
         with self._lock:
@@ -380,7 +380,7 @@ class CampaignMonitor:
         gauge("campaign_runs_resumed", "runs replayed from checkpoints")
         lines.append(
             f"{p}_campaign_runs_resumed{base} {snap['runs_resumed']}")
-        gauge("campaign_steals", "shard tasks stolen across ranks")
+        gauge("campaign_steals", "(run, stage) cells stolen across ranks")
         lines.append(f"{p}_campaign_steals{base} {snap['steals']}")
         gauge("campaign_events_processed", "events processed across ranks")
         lines.append(
@@ -400,7 +400,7 @@ class CampaignMonitor:
             lines.append(
                 f"{p}_rank_runs_completed{labelstr(('rank', r['rank']))} "
                 f"{r['runs_completed']}")
-        gauge("rank_steals", "shard tasks stolen by rank")
+        gauge("rank_steals", "(run, stage) cells stolen by rank")
         for r in snap["ranks"]:
             lines.append(
                 f"{p}_rank_steals{labelstr(('rank', r['rank']))} "

@@ -637,16 +637,17 @@ def shard_table(summary: Dict[str, Dict[str, Any]],
 # ---------------------------------------------------------------------------
 
 def steal_summary(records: Sequence[Dict[str, Any]]) -> Dict[int, Dict[str, float]]:
-    """Roll up the stealing executor's task spans per executing rank.
+    """Roll up the stealing executor's cell spans per executing rank.
 
-    ``kind="steal_task"`` spans are shard tasks a rank executed from
-    its own static block; ``kind="steal"`` spans are tasks it pulled
-    off a victim's queue.  The interesting derived number is the
+    ``kind="steal_task"`` spans are (run, stage) cells a rank executed
+    from its own static block; ``kind="steal"`` spans are cells it
+    pulled off a victim's queue.  The interesting derived number is the
     stolen share of each rank's busy seconds — how much of its work
     arrived through the queue rather than the static plan, which is
     exactly what the skewed-campaign benchmark moves.  ``incomplete``
-    counts spans whose task never deposited (a crash or leave mid-task
-    that the queue must have re-issued elsewhere).
+    counts spans whose cell never completed (a crash mid-cell that the
+    queue must have re-issued elsewhere, or a cell of a quarantined
+    run).
     """
     out: Dict[int, Dict[str, float]] = {}
     for rec in records:

@@ -11,8 +11,8 @@ and interrogates:
   absolute campaign clock (each file's ``epoch_unix`` + relative span
   times), auto-namespacing v1/v2 files that predate global uids;
 * :meth:`TraceDAG.validate` — no duplicate uids, no orphan parents, no
-  dangling link endpoints, completed steal tasks exactly once per
-  ``(run, stage, shard)``, and (v3) a single rooted span tree;
+  dangling link endpoints, completed steal cells exactly once per
+  ``(run, stage)``, and (v3) a single rooted span tree;
 * :meth:`TraceDAG.critical_chain` — the last-finisher root-to-leaf
   blocking chain (the answer to "what was the campaign waiting on when
   it ended");
@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.util.trace import TraceError, load_file, validate_file
 
-#: span kinds that mark the elastic steal-task layer
+#: span kinds of the stealing executor's (run, stage) cells
 STEAL_KINDS = ("steal", "steal_task")
 
 #: kind → reporting layer of the service→job→run→stage→shard→kernel
@@ -60,8 +60,8 @@ LAYER_BY_KIND = {
     "stage": "stage",
     "shard_fanout": "shard",
     "shard": "shard",
-    "steal": "shard",
-    "steal_task": "shard",
+    "steal": "stage",
+    "steal_task": "stage",
     "chunk": "shard",
     "op": "kernel",
     "kernel": "kernel",
@@ -192,7 +192,8 @@ class TraceDAG:
                         f"link {link['kind']!r} {end} {link[end]!r} "
                         f"references no span in the campaign"
                     )
-        # completed steal tasks land exactly once per (run, stage, shard)
+        # completed steal cells land exactly once per (run, stage); older
+        # traces, whose cells were shards of a stage, also carry "shard"
         seen: Dict[Tuple[Any, Any, Any], str] = {}
         for uid, node in self.spans.items():
             if node.get("kind") not in STEAL_KINDS:

@@ -856,7 +856,7 @@ class TestKillAndResumeStealing:
             recovery=RecoveryConfig(retry=POLICY, checkpoint=ck2,
                                     resume=True),
         )
-        # only runs 2 and 3 re-executed: 2 runs x 2 stages x 2 shards
-        assert res.extras["stealing"]["tasks"] == 8
+        # only runs 2 and 3 re-executed: 2 runs x 2 stages
+        assert res.extras["stealing"]["tasks"] == 4
         assert res.extras["recovery"]["resumed"] == [0, 1]
         assert ck2.campaign_complete

@@ -19,8 +19,8 @@ a warm one:
 * checkpoint/resume across a mid-campaign failure.
 
 Each mode is compared *within* the mode, so modes with their own fold
-order (recovery's scratch-delta fold, stealing's error_sq self-fold)
-still demand exact equality.  The module name is historical: these
+order (the scratch-delta fold of recovery and stealing) still demand
+exact equality.  The module name is historical: these
 cases once compared a plan-specialized fused back end against the
 vectorized one, whose batch path now carries those optimizations.
 """

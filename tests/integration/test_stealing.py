@@ -17,21 +17,24 @@ that claim from every angle the ScheduleController can express:
   replays bit-identically (degrading gracefully against a different
   thread interleaving);
 * exactly-once accounting — the trace stream carries one
-  ``completed=True`` steal span per planned ``(run, stage, shard)``
-  cell, under chaos included;
-* the executor x back-end conformance sweep — the stealing result is
-  bit-identical to the oracle on *every* registered back end (shard
-  tasks run the batch deposit functions; back ends only accelerate
-  the exact-integer pre-pass).
+  ``completed=True`` steal span per planned ``(run, stage)`` cell,
+  under chaos included;
+* the executor x back-end conformance sweep — with shards, the
+  stealing result is bit-identical to the oracle on *every* registered
+  back end (a cell runs the static loop's shard fan-out, whose batch
+  deposit functions ignore the back end);
+* same code, same result — a cell runs the static loop's stage code,
+  so stealing equals the static loop with the same kernel overrides,
+  or the same back end without shards, too;
+* cancellation — a cancelled token stops a stealing campaign before
+  its next claim, and resuming it is bit-identical to never stopping.
 
-Histogram note: the stealing executor always folds ``error_sq`` from
-its per-run deltas, while the uncheckpointed static oracle drops it in
-the final Reduce; ``error_sq`` is therefore compared against a
-stealing self-reference (and against the static result whenever the
-oracle carries one).
+Every comparison includes ``binmd.error_sq``: the static loop reduces
+it like the signals.
 """
 
 import json
+import sys
 import time
 from dataclasses import dataclass
 from typing import List
@@ -39,10 +42,12 @@ from typing import List
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import RecoveryConfig
+from repro.core.binmd import bin_events
+from repro.core.checkpoint import CheckpointManager, RecoveryConfig
 from repro.core.cross_section import compute_cross_section
 from repro.core.grid import HKLGrid
 from repro.core.md_event_workspace import convert_to_md, load_md, save_md
+from repro.core.mdnorm import mdnorm
 from repro.core.sharding import ShardConfig
 from repro.crystal.goniometer import Goniometer
 from repro.crystal.structures import benzil
@@ -54,6 +59,7 @@ from repro.jacc import available_backends
 from repro.mpi import run_world
 from repro.mpi.stealing import StealQueue, StealTask, run_stealing_campaign
 from repro.util import trace as trace_mod
+from repro.util.cancel import CancelledError, CancelToken
 from repro.util.faults import (
     FaultPlan,
     FaultSpec,
@@ -142,14 +148,18 @@ def golden(exp):
     )
 
 
-@pytest.fixture(scope="module")
-def steal_baseline(exp):
-    """Sequential no-steal stealing run: the error_sq self-reference."""
-    return _steal_seq(exp, ScheduleController(seed=0, policy="no-steal"))
-
-
 def _shards():
     return ShardConfig(n_shards=N_SHARDS, workers=1)
+
+
+def _serial_binmd(hist, events, transforms):
+    """A kernel override: the element-path BinMD."""
+    bin_events(hist, events, transforms, backend="serial")
+
+
+def _serial_mdnorm(hist, *args, charge):
+    """A kernel override: the element-path MDNorm."""
+    mdnorm(hist, *args, charge=charge, backend="serial")
 
 
 def _steal_seq(exp, schedule, *, recovery=None, backend=None):
@@ -160,14 +170,15 @@ def _steal_seq(exp, schedule, *, recovery=None, backend=None):
     )
 
 
-def _steal_world(exp, size, schedule, *, recovery=None, plan=None):
+def _steal_world(exp, size, schedule, *, recovery=None, plan=None,
+                 shards=_shards(), **options):
     """Run one multi-rank stealing campaign; return the root's result."""
 
     def body(comm):
         return run_stealing_campaign(
             exp.loader, comm=comm,
             recovery=recovery or RecoveryConfig(retry=POLICY),
-            shards=_shards(), schedule=schedule, **exp.kw()
+            shards=shards, schedule=schedule, **options, **exp.kw()
         )
 
     if plan is not None:
@@ -181,43 +192,35 @@ def _steal_world(exp, size, schedule, *, recovery=None, plan=None):
     return roots[0]
 
 
-def _assert_identical(res, golden, baseline=None, label=""):
-    """Bit-identity against the oracle (error_sq where available)."""
+def _assert_identical(res, golden, label=""):
+    """Bit-identity against the oracle, errors included."""
     assert np.array_equal(res.binmd.signal, golden.binmd.signal), label
+    assert golden.binmd.error_sq is not None, label
+    assert np.array_equal(res.binmd.error_sq, golden.binmd.error_sq), label
     assert np.array_equal(res.mdnorm.signal, golden.mdnorm.signal), label
     assert np.array_equal(res.cross_section.signal,
                           golden.cross_section.signal, equal_nan=True), label
-    if golden.binmd.error_sq is not None:
-        assert np.array_equal(res.binmd.error_sq,
-                              golden.binmd.error_sq), label
-    if baseline is not None:
-        assert np.array_equal(res.binmd.error_sq,
-                              baseline.binmd.error_sq), label
 
 
 def _planned_cells():
-    """Every (run, stage, shard) cell the plan cuts for this fixture:
-    24 detectors and 80 in-memory events both split into N_SHARDS
-    contiguous ranges per run."""
+    """Every (run, stage) cell the plan enqueues for this fixture."""
     return {
-        (run, stage, idx)
+        (run, stage)
         for run in range(N_RUNS)
         for stage in ("mdnorm", "binmd")
-        for idx in range(N_SHARDS)
     }
 
 
 def _completed_cells(records):
-    """(run, stage, shard) of every completed steal span, with
-    multiplicity (exactly-once accounting reads this)."""
+    """(run, stage) of every completed steal span, with multiplicity
+    (exactly-once accounting reads this)."""
     cells = {}
     for rec in trace_mod.iter_spans(records):
         if not rec["name"].startswith("steal:"):
             continue
         if not rec["attrs"].get("completed"):
             continue
-        key = (rec["attrs"]["run"], rec["name"].split(":", 1)[1],
-               rec["attrs"]["shard"])
+        key = (rec["attrs"]["run"], rec["name"].split(":", 1)[1])
         cells[key] = cells.get(key, 0) + 1
     return cells
 
@@ -233,7 +236,7 @@ class TestStaticEquivalence:
         res = _steal_seq(exp, ScheduleController(seed=0, policy="no-steal"))
         _assert_identical(res, golden)
         assert res.extras["stealing"]["steals"] == 0
-        assert res.extras["stealing"]["tasks"] == 2 * N_SHARDS * N_RUNS
+        assert res.extras["stealing"]["tasks"] == 2 * N_RUNS
         assert res.extras["stealing"]["policy"] == "no-steal"
 
     def test_sequential_random_matches_static(self, exp, golden):
@@ -263,11 +266,36 @@ class TestStaticEquivalence:
         with pytest.raises(ValueError, match="stealing"):
             compute_cross_section(exp.loader, executor="fifo", **exp.kw())
 
-    def test_kernel_impl_overrides_not_stealable(self, exp):
-        with pytest.raises(ValidationError, match="not stealable"):
-            run_stealing_campaign(
-                exp.loader, binmd_impl=lambda *a, **k: None, **exp.kw()
-            )
+    def test_kernel_overrides_match_static(self, exp):
+        """A ``*_impl`` override runs inside its cell exactly as in the
+        static loop, so the results agree bit for bit (with shards set,
+        the override still wins over the fan-out)."""
+        kw = dict(binmd_impl=_serial_binmd, mdnorm_impl=_serial_mdnorm)
+        static = compute_cross_section(
+            exp.loader, recovery=RecoveryConfig(retry=POLICY), **kw,
+            **exp.kw())
+        res = _steal_world(exp, 3, ScheduleController(seed=47,
+                                                      policy="all-steal"),
+                           **kw)
+        _assert_identical(res, static)
+
+    def test_backend_without_shards_matches_static(self, exp):
+        """Without shards a cell runs the plain kernels on ``backend``,
+        as the static loop does: the same histograms from the same
+        element launches."""
+        static_tracer, steal_tracer = trace_mod.Tracer(), trace_mod.Tracer()
+        with trace_mod.use_tracer(static_tracer):
+            static = compute_cross_section(
+                exp.loader, recovery=RecoveryConfig(retry=POLICY),
+                backend="serial", **exp.kw())
+        with trace_mod.use_tracer(steal_tracer):
+            res = _steal_world(exp, 2, ScheduleController(seed=53,
+                                                          policy="random"),
+                               shards=None, backend="serial")
+        _assert_identical(res, static)
+        element_calls = static_tracer.counters["jacc.element_calls"]
+        assert element_calls > 0
+        assert steal_tracer.counters.get("jacc.element_calls", 0) == element_calls
 
     def test_worker_pool_path_matches(self, exp, golden):
         """workers > 1 ships each task through the process pool; the
@@ -289,7 +317,7 @@ class TestFuzzMatrix:
     bit-identical to the oracle, whatever got stolen."""
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_fifty_seeds_bit_identical(self, exp, golden, steal_baseline,
+    def test_fifty_seeds_bit_identical(self, exp, golden,
                                        size):
         total_steals = 0
         for seed in range(N_FUZZ_SEEDS):
@@ -299,10 +327,10 @@ class TestFuzzMatrix:
                 p_steal=0.25 + 0.5 * ((seed // len(POLICIES)) % 3) / 2.0,
             )
             res = _steal_world(exp, size, ctl)
-            _assert_identical(res, golden, steal_baseline,
+            _assert_identical(res, golden,
                               label=f"size={size} seed={seed} {policy}")
             stats = res.extras["stealing"]
-            assert stats["tasks"] == 2 * N_SHARDS * N_RUNS
+            assert stats["tasks"] == 2 * N_RUNS
             assert len(stats["schedule_signature"]) == 16
             total_steals += stats["steals"]
         # the matrix is not vacuous: schedules other than no-steal
@@ -330,22 +358,22 @@ class TestFuzzMatrix:
 class TestAdversarialSchedules:
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("size", (2, 3))
-    def test_named_policies(self, exp, golden, steal_baseline, size, policy):
+    def test_named_policies(self, exp, golden, size, policy):
         ctl = ScheduleController(seed=13, policy=policy)
         res = _steal_world(exp, size, ctl)
-        _assert_identical(res, golden, steal_baseline,
+        _assert_identical(res, golden,
                           label=f"{policy}@{size}")
         if policy == "no-steal":
             assert res.extras["stealing"]["steals"] == 0
 
-    def test_birth_during_drain(self, exp, golden, steal_baseline):
+    def test_birth_during_drain(self, exp, golden):
         """A rank born mid-campaign drains the queue alongside the
         world; its deposits merge through the same ordered replay."""
         tracer = trace_mod.Tracer()
         ctl = ScheduleController(seed=7, policy="random", births=(2,))
         with trace_mod.use_tracer(tracer):
             res = _steal_world(exp, 2, ctl)
-        _assert_identical(res, golden, steal_baseline)
+        _assert_identical(res, golden)
         assert res.extras["stealing"]["births"] == 1
         assert tracer.counters["steal.births"] == 1
         born = [r for r in trace_mod.iter_spans(tracer.records)
@@ -353,7 +381,7 @@ class TestAdversarialSchedules:
         assert len(born) == 1
         assert born[0]["attrs"]["rank"] == 2  # helper ids start at size
 
-    def test_clean_leave_requeues_backlog(self, exp, golden, steal_baseline):
+    def test_clean_leave_requeues_backlog(self, exp, golden):
         """Drain-and-requeue: the leaver's remaining deque becomes
         orphan work and is adopted, never lost."""
         tracer = trace_mod.Tracer()
@@ -361,22 +389,21 @@ class TestAdversarialSchedules:
                                  leaves=((1, 1),))
         with trace_mod.use_tracer(tracer):
             res = _steal_world(exp, 3, ctl)
-        _assert_identical(res, golden, steal_baseline)
+        _assert_identical(res, golden)
         assert tracer.counters["steal.leaves"] == 1
         # with stealing vetoed, the leaver's backlog can only have
         # moved through orphan adoption
         assert res.extras["stealing"]["adoptions"] > 0
         assert {d["status"] for d in res.dispositions.values()} == {"done"}
 
-    def test_scheduled_death_between_tasks(self, exp, golden,
-                                           steal_baseline):
+    def test_scheduled_death_between_tasks(self, exp, golden):
         ctl = ScheduleController(seed=17, policy="random",
                                  deaths=((2, 1),))
         res = _steal_world(exp, 3, ctl)
-        _assert_identical(res, golden, steal_baseline)
+        _assert_identical(res, golden)
         assert res.extras["recovery"]["failed_ranks"] == [1]
 
-    def test_death_holding_claimed_work(self, exp, golden, steal_baseline):
+    def test_death_holding_claimed_work(self, exp, golden):
         """The hardest preset: the rank dies *inside* a task attempt,
         while the task is claimed.  The claim must requeue and execute
         exactly once elsewhere."""
@@ -390,13 +417,13 @@ class TestAdversarialSchedules:
         with trace_mod.use_tracer(tracer):
             res = _steal_world(exp, 3, ctl, plan=plan)
         assert plan.stats()["injected"] == 1
-        _assert_identical(res, golden, steal_baseline)
+        _assert_identical(res, golden)
         assert res.extras["recovery"]["failed_ranks"] == [1]
         cells = _completed_cells(tracer.records)
         assert cells == {key: 1 for key in _planned_cells()}
 
     def test_death_holding_claimed_work_when_rank_starts_last(
-            self, exp, golden, steal_baseline, monkeypatch):
+            self, exp, golden, monkeypatch):
         """The crash still lands on rank 1 when its thread reaches the
         queue long after its peers: every rank claims its own first
         task before any rank may steal."""
@@ -416,16 +443,16 @@ class TestAdversarialSchedules:
         ctl = ScheduleController(seed=19, policy="all-steal")
         res = _steal_world(exp, 3, ctl, plan=plan)
         assert plan.stats()["injected"] == 1
-        _assert_identical(res, golden, steal_baseline)
+        _assert_identical(res, golden)
         assert res.extras["recovery"]["failed_ranks"] == [1]
 
-    def test_birth_after_death(self, exp, golden, steal_baseline):
+    def test_birth_after_death(self, exp, golden):
         """The elastic extremes composed: a rank dies, a replacement
         is born, the campaign still lands bit-identically."""
         ctl = ScheduleController(seed=23, policy="random",
                                  deaths=((1, 1),), births=(3,))
         res = _steal_world(exp, 3, ctl)
-        _assert_identical(res, golden, steal_baseline)
+        _assert_identical(res, golden)
         assert res.extras["recovery"]["failed_ranks"] == [1]
         assert res.extras["stealing"]["births"] == 1
 
@@ -435,25 +462,23 @@ class TestAdversarialSchedules:
 # ---------------------------------------------------------------------------
 
 class TestRecordReplay:
-    def test_json_round_trip_replays_bit_identical(self, exp, golden,
-                                                   steal_baseline):
+    def test_json_round_trip_replays_bit_identical(self, exp, golden):
         ctl = ScheduleController(seed=29, policy="random")
         first = _steal_world(exp, 3, ctl)
-        _assert_identical(first, golden, steal_baseline)
+        _assert_identical(first, golden)
 
         record = ctl.to_json()
         json.loads(json.dumps(record))  # genuinely serializable
         replayed = _steal_world(exp, 3, ScheduleController.from_json(record))
-        _assert_identical(replayed, golden, steal_baseline)
+        _assert_identical(replayed, golden)
 
-    def test_replay_from_file(self, exp, golden, steal_baseline, tmp_path):
+    def test_replay_from_file(self, exp, golden, tmp_path):
         ctl = ScheduleController(seed=31, policy="all-steal")
-        _assert_identical(_steal_world(exp, 2, ctl), golden, steal_baseline)
+        _assert_identical(_steal_world(exp, 2, ctl), golden)
         path = str(tmp_path / "schedule.json")
         ctl.save(path)
         replay = ScheduleController.from_file(path)
-        _assert_identical(_steal_world(exp, 2, replay), golden,
-                          steal_baseline)
+        _assert_identical(_steal_world(exp, 2, replay), golden)
 
     def test_signature_reported_in_extras(self, exp):
         ctl = ScheduleController(seed=37, policy="random")
@@ -481,6 +506,27 @@ class TestExactlyOnceAccounting:
             res.extras["stealing"]["steals"])
         assert "steal.queue_depth" in tracer.gauges
 
+    def test_exactly_once_under_fast_thread_switching(self, exp, golden):
+        """Both cells of a run may finish at once on two ranks; exactly
+        one of them must assemble the run.  More rank threads than
+        cores and a short switch interval crowd those finishes."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for seed in range(5):
+                tracer = trace_mod.Tracer()
+                ctl = ScheduleController(seed=seed, policy="all-steal",
+                                         births=(1, 3))
+                with trace_mod.use_tracer(tracer):
+                    res = _steal_world(exp, 4, ctl)
+                _assert_identical(res, golden, label=f"seed={seed}")
+                cells = _completed_cells(tracer.records)
+                assert cells == {key: 1 for key in _planned_cells()}
+                assert {d["status"] for d in res.dispositions.values()} \
+                    == {"done"}
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_steal_spans_carry_provenance(self, exp):
         """Each stolen task's span names thief, victim and the planned
         owner — the audit trail the fault tests lean on."""
@@ -496,7 +542,7 @@ class TestExactlyOnceAccounting:
         for rec in stolen:
             attrs = rec["attrs"]
             assert attrs["victim"] != attrs["exec_rank"]
-            assert {"run", "shard", "owner", "exec_rank"} <= set(attrs)
+            assert {"run", "owner", "exec_rank"} <= set(attrs)
 
 
     def test_unjoined_rank_work_is_not_orphaned(self):
@@ -505,8 +551,7 @@ class TestExactlyOnceAccounting:
         work, so every planned rank gets to start."""
         q = StealQueue()
         q.register_rank(0)
-        q.add_task(StealTask(run=1, stage="mdnorm", index=0, n_ranges=1,
-                             owner=1, weight=1.0))
+        q.add_task(StealTask(run=1, stage="mdnorm", owner=1, weight=1.0))
         assert q.claim_orphan(0) is None
         assert q.remaining_weights(exclude=0) == {}  # nor stealable yet
         q.register_rank(1)
@@ -520,19 +565,94 @@ class TestExactlyOnceAccounting:
 # ---------------------------------------------------------------------------
 
 class TestExecutorBackendConformance:
-    """The stealing executor rides the back-end matrix: shard tasks run
-    the batch deposit functions, so the campaign is bit-identical to the
-    vectorized oracle on every registered back end (the back end only
-    accelerates the exact-integer intersection pre-pass)."""
+    """The stealing executor rides the back-end matrix: with shards, a
+    cell runs the static loop's fan-out, whose batch deposit functions
+    ignore the back end, so the campaign is bit-identical to the
+    vectorized oracle on every registered back end."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_bit_identical_under_random_schedules(
-        self, exp, golden, steal_baseline, backend
+        self, exp, golden, backend
     ):
         for seed in (0, 1, 2):
             res = _steal_seq(
                 exp, ScheduleController(seed=seed, policy="random"),
                 backend=backend,
             )
-            _assert_identical(res, golden, steal_baseline,
+            _assert_identical(res, golden,
                               label=f"{backend} seed={seed}")
+
+
+# ---------------------------------------------------------------------------
+# cancellation and error propagation
+# ---------------------------------------------------------------------------
+
+class TestCancellation:
+    """The service cancels, expires and drains jobs only through the
+    campaign's cancel token, so stealing must honour it like the static
+    loop does."""
+
+    @pytest.mark.parametrize("size", (1, 2))
+    def test_cancelled_token_raises(self, exp, size):
+        token = CancelToken()
+        token.cancel("stop")
+        recovery = RecoveryConfig(retry=POLICY, cancel=token)
+        ctl = ScheduleController(seed=59, policy="random")
+        with pytest.raises(CancelledError):
+            if size == 1:
+                _steal_seq(exp, ctl, recovery=recovery)
+            else:
+                _steal_world(exp, size, ctl, recovery=recovery)
+
+    def test_cancel_then_resume_is_bit_identical(self, exp, tmp_path):
+        """Cancelled after its first checkpointed run, then resumed on
+        another world size and seed: equal to the uninterrupted
+        checkpointed campaign."""
+        token = CancelToken()
+
+        class CancelAfterSave(CheckpointManager):
+            def save_run(self, *args, **kwargs):
+                super().save_run(*args, **kwargs)
+                token.cancel("drain")
+
+        ckdir = tmp_path / "ck"
+        with pytest.raises(CancelledError):
+            _steal_seq(exp, ScheduleController(seed=61, policy="no-steal"),
+                       recovery=RecoveryConfig(
+                           retry=POLICY, cancel=token,
+                           checkpoint=CancelAfterSave(
+                               ckdir, config_digest="cancel")))
+        ck = CheckpointManager(ckdir, config_digest="cancel")
+        assert ck.completed_runs() == [0]
+        res = _steal_world(
+            exp, 3, ScheduleController(seed=67, policy="random"),
+            recovery=RecoveryConfig(retry=POLICY, checkpoint=ck, resume=True))
+        gold = compute_cross_section(
+            exp.loader, backend="vectorized",
+            recovery=RecoveryConfig(retry=POLICY, checkpoint=CheckpointManager(
+                tmp_path / "gold", config_digest="cancel")),
+            **exp.kw())
+        assert res.extras["recovery"]["resumed"] == [0]
+        assert ck.campaign_complete
+        _assert_identical(res, gold)
+
+
+class TestErrorPropagation:
+    def test_every_loop_returns_the_same_error_sq(self, exp, tmp_path):
+        """The plain static loop (one rank or two), the checkpointed
+        static loop and stealing all return BinMD's squared errors."""
+        kw = dict(backend="vectorized", **exp.kw())
+        plain = compute_cross_section(exp.loader, **kw)
+        two_ranks = [r for r in run_world(
+            2, lambda comm: compute_cross_section(exp.loader, comm=comm, **kw))
+            if r.cross_section is not None][0]
+        checkpointed = compute_cross_section(
+            exp.loader, recovery=RecoveryConfig(
+                retry=POLICY, checkpoint=CheckpointManager(
+                    tmp_path / "ck", config_digest="err")), **kw)
+        stealing = _steal_world(
+            exp, 2, ScheduleController(seed=71, policy="random"))
+        assert plain.binmd.error_sq is not None
+        assert plain.binmd.error_sq.any()
+        for res in (two_ranks, checkpointed, stealing):
+            assert np.array_equal(res.binmd.error_sq, plain.binmd.error_sq)

@@ -48,9 +48,7 @@ def _dispose_pool_after_module():
     GLOBAL_POOL.dispose()
 
 
-@pytest.fixture(scope="module")
-def exp(tmp_path_factory):
-    base = tmp_path_factory.mktemp("critsmoke")
+def _experiment(base, n_runs):
     structure = benzil()
     instrument = make_corelli(n_pixels=24)
     ub = UBMatrix.from_u_vectors(structure.cell, [0.0, 0.0, 1.0],
@@ -60,10 +58,10 @@ def exp(tmp_path_factory):
     flux = make_flux(instrument)
     vanadium = make_vanadium(instrument)
     md_paths: List[str] = []
-    for i, omega in enumerate((0.0, 40.0, 80.0)):
+    for i in range(n_runs):
         run = synthesize_run(
             instrument=instrument, structure=structure, ub=ub,
-            goniometer=Goniometer(omega).rotation, n_events=60,
+            goniometer=Goniometer(40.0 * i).rotation, n_events=60,
             rng=np.random.default_rng(8300 + i), run_number=i,
         )
         ws = convert_to_md(run, instrument, run_index=i)
@@ -73,11 +71,25 @@ def exp(tmp_path_factory):
     return {
         "md_paths": md_paths,
         "kw": dict(
-            n_runs=N_RUNS, grid=grid, point_group=pg, flux=flux,
+            n_runs=n_runs, grid=grid, point_group=pg, flux=flux,
             det_directions=instrument.directions,
             solid_angles=vanadium.detector_weights,
         ),
     }
+
+
+@pytest.fixture(scope="module")
+def exp(tmp_path_factory):
+    return _experiment(tmp_path_factory.mktemp("critsmoke"), N_RUNS)
+
+
+@pytest.fixture(scope="module")
+def anomaly_exp(tmp_path_factory):
+    """Six runs, so six steal spans per stage: with the detector's
+    median-of-halves quartiles, one slow span among four or five
+    siblings lifts the upper quartile past itself and cannot be
+    flagged."""
+    return _experiment(tmp_path_factory.mktemp("anomaly"), 6)
 
 
 def _campaign(exp, *, size, schedule, tracer=None, plan=None):
@@ -169,8 +181,8 @@ class TestCritSmoke:
 
 
 class TestAnomalyFlag:
-    def test_injected_slow_fault_is_flagged(self, exp, tmp_path):
-        """A ``slow`` fault on one shard-task site must surface as a
+    def test_injected_slow_fault_is_flagged(self, anomaly_exp, tmp_path):
+        """A ``slow`` fault on one stealing cell must surface as a
         model-vs-measured anomaly among its siblings."""
         tracer = trace_mod.Tracer(
             label="anomaly",
@@ -182,7 +194,7 @@ class TestAnomalyFlag:
             seed=13,
         )
         res, _ = _campaign(
-            exp, size=2,
+            anomaly_exp, size=2,
             schedule=ScheduleController(seed=13, policy="no-steal"),
             tracer=tracer, plan=plan,
         )

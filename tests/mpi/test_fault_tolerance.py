@@ -3,7 +3,7 @@ party shrinkage on rank death, dead-slot masking in collectives, and
 the runner's error attribution (satellite: ranks must not hang after a
 peer dies).  The elastic-executor cases at the bottom pin the stealing
 queue's exactly-once accounting under rank death and quarantine, read
-back from the shard ids in the trace stream."""
+back from the (run, stage) cells in the trace stream."""
 
 import threading
 import time
@@ -305,7 +305,8 @@ def steal_exp(tmp_path_factory):
 
 class TestStealingExactlyOnce:
     """Rank death and quarantine against the shared steal queue: the
-    trace stream's shard ids prove no cell is lost or double-counted."""
+    trace stream's (run, stage) cells prove no cell is lost or
+    double-counted."""
 
     def _campaign(self, steal_exp, schedule, *, size=3, plan=None):
         from repro.core.checkpoint import RecoveryConfig
@@ -338,23 +339,17 @@ class TestStealingExactlyOnce:
         for rec in trace_mod.iter_spans(records):
             if (rec["name"].startswith("steal:")
                     and rec["attrs"].get("completed")):
-                key = (rec["attrs"]["run"], rec["name"].split(":", 1)[1],
-                       rec["attrs"]["shard"])
+                key = (rec["attrs"]["run"], rec["name"].split(":", 1)[1])
                 cells[key] = cells.get(key, 0) + 1
         return cells
 
     @staticmethod
     def _cells_of(runs):
-        return {
-            (run, stage, idx)
-            for run in runs
-            for stage in ("mdnorm", "binmd")
-            for idx in range(N_STEAL_SHARDS)
-        }
+        return {(run, stage) for run in runs for stage in ("mdnorm", "binmd")}
 
     def test_kill_rank_mid_steal_no_lost_no_double(self, steal_exp):
         """Rank 1 dies holding a claimed (stolen) task: the claim
-        requeues and every planned shard completes exactly once on a
+        requeues and every planned cell completes exactly once on a
         survivor; the result matches the no-faults reference."""
         from repro.util import trace as trace_mod
         from repro.util.faults import FaultPlan, FaultSpec
@@ -418,5 +413,5 @@ class TestStealingExactlyOnce:
         assert self._cells_of((0, 2)) <= set(cells)
         # run 1's binmd cells never complete (dropped, not lost)
         assert not any(
-            run == 1 and stage == "binmd" for run, stage, _ in cells
+            run == 1 and stage == "binmd" for run, stage in cells
         )
